@@ -221,9 +221,9 @@ class SpannerDB:
         self._db._docs = cp.docs
         self._spanners = cp.spanners
         self._spanner_sources = cp.sources
-        # invalidate caches *before* truncating: ids >= mark will be reused
-        for evaluator in self._spanners.values():
-            evaluator.invalidate_from(self.slp, cp.arena_mark)
+        # truncation first drops ids >= mark from every live cache of the
+        # arena (they will be reused) — including evaluators this store no
+        # longer registers, which the plan cache may hand out again
         self.slp.truncate(cp.arena_mark)
 
     def _journal_record(self, *fields: str) -> None:

@@ -227,10 +227,15 @@ class PlanCache:
             self._total_bytes = 0
 
     def stats(self) -> dict:
-        """Sizing and effectiveness counters (also mirrored in obs)."""
+        """Sizing and effectiveness counters (also mirrored in obs).
+
+        Plans grow between accesses, so their bytes are re-accounted here
+        and the cache shrinks back within its bounds before reporting —
+        ``bytes`` never exceeds ``max_bytes``."""
         with self._lock:
             for source, plan in self._plans.items():
                 self._account(source, plan)
+            self._shrink()
             return {
                 "entries": len(self._plans),
                 "bytes": self._total_bytes,

@@ -439,7 +439,6 @@ def preprocess_bulk(
 
     Returns the number of fresh entries adopted."""
     nodes = list(nodes)
-    evaluator.ensure_finalizer(slp)
     requested = backend
     backend = resolve_backend(
         backend, shippable=source is not None and len(nodes) > 1
@@ -514,10 +513,10 @@ def _preprocess_bulk_process(evaluator, source: str, slp, nodes, budget):
     entries this caller actually lacks — long-lived workers keep warm
     caches of their own, and worker-side freshness says nothing about
     parent-side freshness), and one :class:`ProcCall` per document node.
-    Workers return every requested entry keyed by plain node id — node
-    ids survive the round-trip verbatim because
-    :meth:`~repro.slp.SLP.from_arena` preserves them — and the parent
-    re-keys to its own arena serial for the merge."""
+    Workers return every requested entry keyed by node id — node ids
+    survive the round-trip verbatim because
+    :meth:`~repro.slp.SLP.from_arena` preserves them — so the parent
+    merges them into its own arena's entries as they are."""
     snapshot = slp.arena_snapshot()
     spec = _budget_spec(budget)
     have = np.array(sorted(evaluator.cached_node_ids(slp)), dtype=np.int64)
@@ -543,20 +542,19 @@ def _preprocess_bulk_process(evaluator, source: str, slp, nodes, budget):
         ]
         deadline = budget.deadline if budget is not None else None
         raw = get_pool().run(calls, deadline=deadline)
-    serial = slp.serial
     results = []
     total_steps = 0
     for entries, visited, steps in raw:
         total_steps += steps
-        rekeyed = {
-            (serial, node): (
+        unpacked = {
+            node: (
                 sigma,
                 BitMatrix(t_rows, len(sigma)),
                 BitMatrix(t_em_rows, len(sigma)),
             )
             for node, (sigma, t_rows, t_em_rows) in entries.items()
         }
-        results.append((rekeyed, visited))
+        results.append((unpacked, visited))
     _charge_worker_steps(budget, total_steps)
     return results
 

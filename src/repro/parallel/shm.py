@@ -122,11 +122,20 @@ def _reset_after_fork() -> None:  # pragma: no cover - runs in the child
     unlink segments the *parent* still owns.  Ownership never crosses
     ``fork()``: drop the inherited entries (close/unlink stay with the
     parent).  The ``_forked_child`` flag tells :func:`attach` that this
-    process may also share the parent's resource tracker."""
+    process may also share the parent's resource tracker.
+
+    A lock another parent thread held at ``fork()`` stays held in the
+    child forever, so the child starts with both locks it needs released:
+    its segment table's, and the resource tracker's — attaching registers
+    the segment with the tracker, which takes that lock (serving threads
+    create and unlink segments while the pool forks)."""
     global _forked_child
     _forked_child = True
-    with _live_lock:
-        _live.clear()
+    _live_lock._at_fork_reinit()
+    _live.clear()
+    from multiprocessing import resource_tracker
+
+    resource_tracker._resource_tracker._lock._at_fork_reinit()
 
 
 if hasattr(os, "register_at_fork"):

@@ -2,6 +2,7 @@
 and spanner evaluation without decompression (paper Section 4)."""
 
 from repro.slp.access import Fingerprinter, char_at, extract
+from repro.slp.arena_index import ArenaIndex
 from repro.slp.balance import (
     assert_strongly_balanced,
     concat_balanced,
@@ -47,6 +48,7 @@ from repro.slp.slp import SLP, DocumentDatabase, figure_1_database, figure_1_slp
 from repro.slp.spanner_eval import SLPSpannerEvaluator
 
 __all__ = [
+    "ArenaIndex",
     "CDE",
     "CompressedMembership",
     "CompressedPatternMatcher",

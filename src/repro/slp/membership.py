@@ -19,7 +19,6 @@ once and shared.
 from __future__ import annotations
 
 import time
-import weakref
 
 import numpy as np
 
@@ -27,18 +26,23 @@ from repro import obs
 from repro.automata.nfa import NFA
 from repro.core.alphabet import symbol_matches
 from repro.kernels.bitmat import BitMatrix, bool_mm_many, pack_vec
+from repro.slp.arena_index import ArenaIndex
 from repro.slp.slp import SLP
 
 __all__ = ["CompressedMembership", "simulate_uncompressed"]
 
 
+def _packed_nbytes(matrix: BitMatrix) -> int:
+    return matrix.rows.nbytes
+
+
 class CompressedMembership:
     """Reusable compressed-membership oracle for one NFA.
 
-    Per-(SLP, node) matrices are memoised in a per-arena index
-    (``serial → node → matrix``), so repeated queries against the same
-    document database — including documents that share subtrees — pay only
-    for new nodes.  Fully-preprocessed roots are *sealed*: a repeat query
+    Per-(SLP, node) matrices are memoised in an
+    :class:`~repro.slp.arena_index.ArenaIndex` (``serial → node →
+    matrix``), so repeated queries against the same document database —
+    including documents that share subtrees — pay only for new nodes.  Fully-preprocessed roots are *sealed*: a repeat query
     on a sealed root returns without walking, and the discovery walk for a
     fresh root stops descending at any sealed child, so after an append or
     CDE edit only the O(fresh + log n) frontier is visited.  This is the
@@ -50,64 +54,21 @@ class CompressedMembership:
         self.nfa = nfa.remove_epsilon()
         self.num_states = self.nfa.num_states
         self._char_matrices: dict[str, BitMatrix] = {}
-        #: serial -> node -> packed matrix (two-level, per-arena index)
-        self._arena_matrices: dict[int, dict[int, BitMatrix]] = {}
-        #: serial -> node ids whose whole subtree is cached (sealed roots)
-        self._sealed: dict[int, set[int]] = {}
-        #: serial -> finalizer purging that arena's matrices on collection
-        self._arena_finalizers: dict[int, weakref.finalize] = {}
+        #: the node cache: serial -> node -> packed matrix, with sealed roots
+        self.index = ArenaIndex(_packed_nbytes)
         self._initial_rows = np.array(sorted(self.nfa.initial), dtype=np.int64)
         accepting = np.zeros(self.num_states, dtype=bool)
         for state in self.nfa.accepting:
             accepting[state] = True
         self._accepting_words = pack_vec(accepting)
 
-    # ------------------------------------------------------------------
-    # cache administration
-    # ------------------------------------------------------------------
     def cached_nodes(self, serial: int | None = None) -> int:
-        """How many node matrices are cached — for one arena, or overall.
-        O(1) per arena thanks to the two-level index."""
-        if serial is not None:
-            return len(self._arena_matrices.get(serial, ()))
-        return sum(len(arena) for arena in self._arena_matrices.values())
+        """How many node matrices are cached — for one arena, or overall."""
+        return self.index.cached_nodes(serial)
 
     def is_sealed(self, slp: SLP, node: int) -> bool:
         """Whether *node*'s entire subtree is known cached (O(1))."""
-        return node in self._sealed.get(slp.serial, ())
-
-    def invalidate_from(self, slp: SLP, mark: int) -> int:
-        """Drop cached matrices for nodes of *slp* with id ``>= mark``.
-
-        Rollback truncates the arena back to a mark and later allocations
-        *reuse* the freed ids, so stale matrices (and stale sealed bits)
-        keyed on them would silently describe the wrong document.  Sealed
-        ids below the mark stay sealed: children always have smaller ids
-        than parents, so their subtrees are untouched by the truncation."""
-        arena = self._arena_matrices.get(slp.serial)
-        if not arena:
-            return 0
-        doomed = [node for node in arena if node >= mark]
-        for node in doomed:
-            del arena[node]
-        sealed = self._sealed.get(slp.serial)
-        if sealed:
-            self._sealed[slp.serial] = {n for n in sealed if n < mark}
-        return len(doomed)
-
-    def _purge_arena(self, serial: int) -> None:
-        """Drop a collected arena's matrices (weakref callback); O(that
-        arena's entries) — other arenas are untouched, unscanned."""
-        self._arena_finalizers.pop(serial, None)
-        self._sealed.pop(serial, None)
-        self._arena_matrices.pop(serial, None)
-
-    def _ensure_finalizer(self, slp: SLP) -> None:
-        serial = slp.serial
-        if serial not in self._arena_finalizers:
-            self._arena_finalizers[serial] = weakref.finalize(
-                slp, self._purge_arena, serial
-            )
+        return self.index.is_sealed(slp, node)
 
     # ------------------------------------------------------------------
     def char_matrix(self, ch: str) -> np.ndarray:
@@ -144,73 +105,40 @@ class CompressedMembership:
         With :mod:`repro.obs` enabled, memo effectiveness and kernel time
         are recorded (``slp.membership.cache_hits`` / ``.cache_misses`` /
         ``.sealed_hits`` / ``.kernel_ns``) — once per call, not per node."""
-        serial = slp.serial
-        sealed = self._sealed.get(serial)
-        arena = self._arena_matrices.get(serial)
-        if sealed and node in sealed:
-            if obs.enabled():
+        index = self.index
+        observing = obs.enabled()
+        if index.is_sealed(slp, node):
+            if observing:
                 registry = obs.metrics()
                 registry.counter("slp.membership.sealed_hits").inc()
                 registry.counter("slp.membership.cache_hits").inc()
-            return arena[node]
-        observing = obs.enabled()
+            return index.node_entry(slp, node)
         t0 = time.perf_counter_ns() if observing else 0
-        self._ensure_finalizer(slp)
-        if arena is None:
-            arena = self._arena_matrices.setdefault(serial, {})
-        if sealed is None:
-            sealed = self._sealed.setdefault(serial, set())
-        nodes, _skipped = slp.frontier(node, sealed)
-        fresh = 0
-        level: dict[int, int] = {}
-        waves: list[list[tuple[int, int, int]]] = []
-        for current in nodes:
-            if current in arena:
-                continue
-            fresh += 1
-            if slp.is_terminal(current):
-                arena[current] = self._char_bitmatrix(slp.char(current))
-                continue
-            left, right = slp.children(current)
-            depth = max(level.get(left, 0), level.get(right, 0)) + 1
-            level[current] = depth
-            if depth > len(waves):
-                waves.append([])
-            waves[depth - 1].append((current, left, right))
         # One intern pool per pass: equal matrices from different subtrees
         # become one object, so later waves collapse them by identity.
         intern: dict = {}
-        for wave in waves:
-            products = [
-                (arena[left], arena[right]) for _, left, right in wave
-            ]
-            for (current, _, _), product in zip(
-                wave, bool_mm_many(products, intern=intern)
-            ):
-                arena[current] = product
-        for wave in waves:
-            for current, _, _ in wave:
-                arena[current].release_dense()
-        # Seal bottom-up over the walked order: a node seals once its matrix
-        # exists and (for pairs) both children are sealed — pruned children
-        # were sealed already, so the property propagates to the root.
-        for current in nodes:
-            if current not in arena:
-                continue
-            if slp.is_terminal(current):
-                sealed.add(current)
-            else:
-                left, right = slp.children(current)
-                if left in sealed and right in sealed:
-                    sealed.add(current)
+        made: list[BitMatrix] = []
+
+        def combine(operands, _wave):
+            products = bool_mm_many(operands, intern=intern)
+            made.extend(products)
+            return products
+
+        fresh_entries, walked, _ = index.compute(
+            slp, node, self._char_bitmatrix, combine
+        )
+        for matrix in made:
+            matrix.release_dense()
+        fresh = index.merge(slp, fresh_entries)
+        index.seal(slp, walked)
         if observing:
             registry = obs.metrics()
             registry.counter("slp.membership.cache_misses").inc(fresh)
-            registry.counter("slp.membership.cache_hits").inc(len(nodes) - fresh)
+            registry.counter("slp.membership.cache_hits").inc(len(walked) - fresh)
             registry.counter("slp.membership.kernel_ns").inc(
                 time.perf_counter_ns() - t0
             )
-        return arena[node]
+        return index.node_entry(slp, node)
 
     def accepts(self, slp: SLP, node: int) -> bool:
         """Decide ``D(node) ∈ L(M)`` in O(new nodes · |Q|^3)."""

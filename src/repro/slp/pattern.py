@@ -20,9 +20,11 @@ O(|S|·m), i.e. logarithmic in |D| for well-compressed documents.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator
 
 from repro.errors import SLPError
+from repro.slp.arena_index import ArenaIndex
 from repro.slp.slp import SLP
 
 __all__ = ["CompressedPatternMatcher"]
@@ -44,85 +46,57 @@ class CompressedPatternMatcher:
         if not pattern:
             raise SLPError("pattern must be non-empty")
         self.pattern = pattern
-        #: slp.serial -> node -> (count, prefix, suffix)
-        self._arena_data: dict[int, dict[int, tuple[int, str, str]]] = {}
-        #: slp.serial -> node ids whose whole subtree is cached
-        self._sealed: dict[int, set[int]] = {}
+        #: the node cache: serial -> node -> (count, prefix, suffix)
+        self.index = ArenaIndex()
 
     # ------------------------------------------------------------------
     def cached_nodes(self, serial: int | None = None) -> int:
-        """Cached node count — for one arena, or overall (O(1) per arena)."""
-        if serial is not None:
-            return len(self._arena_data.get(serial, ()))
-        return sum(len(arena) for arena in self._arena_data.values())
+        """Cached node count — for one arena, or overall."""
+        return self.index.cached_nodes(serial)
 
     def is_sealed(self, slp: SLP, node: int) -> bool:
         """Whether *node*'s entire subtree is known cached (O(1))."""
-        return node in self._sealed.get(slp.serial, ())
+        return self.index.is_sealed(slp, node)
 
-    def invalidate_from(self, slp: SLP, mark: int) -> int:
-        """Drop cached data for nodes of *slp* with id ``>= mark`` (rollback
-        reuses those ids); sealed ids at or above the mark are unsealed."""
-        arena = self._arena_data.get(slp.serial)
-        if not arena:
-            return 0
-        doomed = [node for node in arena if node >= mark]
-        for node in doomed:
-            del arena[node]
-        sealed = self._sealed.get(slp.serial)
-        if sealed:
-            self._sealed[slp.serial] = {n for n in sealed if n < mark}
-        return len(doomed)
+    def _leaf(self, ch: str) -> tuple[int, str, str]:
+        context = ch[: len(self.pattern) - 1]
+        return (1 if ch == self.pattern else 0), context, context
 
     def _node_data(self, slp: SLP, node: int) -> tuple[int, str, str]:
-        serial = slp.serial
-        sealed = self._sealed.setdefault(serial, set())
-        arena = self._arena_data.setdefault(serial, {})
-        if node in sealed:
-            return arena[node]
+        index = self.index
+        if not index.is_sealed(slp, node):
+            combine = partial(self._combine, slp)
+            fresh, walked, _ = index.compute(
+                slp,
+                node,
+                self._leaf,
+                lambda operands, wave: list(map(combine, wave, operands)),
+            )
+            index.merge(slp, fresh)
+            index.seal(slp, walked)
+        return index.node_entry(slp, node)
+
+    def _combine(self, slp: SLP, pair, operands) -> tuple[int, str, str]:
+        """(count, prefix, suffix) of one pair node from its children's."""
+        _, left, right = pair
+        (count_l, pref_l, suf_l), (count_r, pref_r, suf_r) = operands
         m = len(self.pattern)
         keep = m - 1
-        walked, _skipped = slp.frontier(node, sealed)
-        for current in walked:
-            if current in arena:
-                continue
-            if slp.is_terminal(current):
-                ch = slp.char(current)
-                count = 1 if ch == self.pattern else 0
-                context = ch[:keep]
-                arena[current] = (count, context, context)
-                continue
-            left, right = slp.children(current)
-            count_l, pref_l, suf_l = arena[left]
-            count_r, pref_r, suf_r = arena[right]
-            window = suf_l + pref_r
-            crossing = sum(
-                1
-                for i in range(len(window) - m + 1)
-                if i < len(suf_l) < i + m and window.startswith(self.pattern, i)
-            )
-            count = count_l + count_r + crossing
-            if slp.length(left) >= keep:
-                prefix = pref_l
-            else:
-                prefix = (pref_l + pref_r)[:keep]
-            if slp.length(right) >= keep:
-                suffix = suf_r
-            else:
-                suffix = (suf_l + suf_r)[-keep:] if keep else ""
-            arena[current] = (count, prefix, suffix)
-        # Seal bottom-up over the walked order; pruned children were sealed
-        # already, so sealing propagates all the way to the fresh root.
-        for current in walked:
-            if current not in arena:
-                continue
-            if slp.is_terminal(current):
-                sealed.add(current)
-            else:
-                left, right = slp.children(current)
-                if left in sealed and right in sealed:
-                    sealed.add(current)
-        return arena[node]
+        window = suf_l + pref_r
+        crossing = sum(
+            1
+            for i in range(len(window) - m + 1)
+            if i < len(suf_l) < i + m and window.startswith(self.pattern, i)
+        )
+        if slp.length(left) >= keep:
+            prefix = pref_l
+        else:
+            prefix = (pref_l + pref_r)[:keep]
+        if slp.length(right) >= keep:
+            suffix = suf_r
+        else:
+            suffix = (suf_l + suf_r)[-keep:] if keep else ""
+        return count_l + count_r + crossing, prefix, suffix
 
     # ------------------------------------------------------------------
     def count(self, slp: SLP, node: int) -> int:
@@ -142,7 +116,7 @@ class CompressedPatternMatcher:
         """
         self._node_data(slp, node)
         m = len(self.pattern)
-        data = self._arena_data[slp.serial]
+        data = self.index.entries(slp)
         # in-order traversal as an explicit LIFO (an SLP of depth d must
         # not consume d interpreter stack frames): left matches, crossing
         # matches, right matches are each emitted in increasing position

@@ -46,6 +46,7 @@ class SLP:
         "_terminals",
         "_pairs",
         "_serial",
+        "_indexes",
         "__weakref__",
     )
 
@@ -63,6 +64,9 @@ class SLP:
         self._order: list[int] = []
         self._terminals: dict[str, int] = {}
         self._pairs: dict[tuple[int, int], int] = {}
+        #: weak set of the live node caches (:class:`~repro.slp.arena_index.
+        #: ArenaIndex`) holding entries for this arena; created on first use
+        self._indexes = None
 
     @property
     def serial(self) -> int:
@@ -125,15 +129,20 @@ class SLP:
     def truncate(self, mark: int) -> int:
         """Discard every node allocated at or after *mark*.
 
-        Safe only when no live structure references the discarded ids —
-        ``SpannerDB``'s transaction rollback guarantees this by restoring
-        the document table and evaluator caches in the same step.  Returns
-        the number of nodes discarded.  Old nodes can never reference new
-        ones (children are always allocated before their parents), so the
-        surviving prefix is closed under reachability.
+        Every live node cache of this arena first drops its entries and
+        sealed bits for ids ``>= mark`` — later allocations reuse those
+        ids, so a surviving entry would answer for the discarded document.
+        Safe only when no other live structure references the discarded
+        ids; ``SpannerDB``'s transaction rollback restores its document
+        table in the same step.  Returns the number of nodes discarded.
+        Old nodes can never reference new ones (children are always
+        allocated before their parents), so the surviving prefix is closed
+        under reachability.
         """
         if not 0 <= mark <= len(self._char):
             raise SLPError(f"invalid arena mark {mark}")
+        for index in list(self._indexes or ()):
+            index.invalidate_from(self._serial, mark)
         discarded = len(self._char) - mark
         if discarded == 0:
             return 0

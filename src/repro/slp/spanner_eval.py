@@ -67,13 +67,13 @@ from repro.kernels.bitmat import (
     PackedVec,
     bool_mm,
     bool_mm_many,
-    compose_rows,
     function_bits,
     function_bits_many,
     intern_many,
     matvec,
 )
 from repro.obs.profile import DelayProfiler
+from repro.slp.arena_index import ArenaIndex
 from repro.slp.slp import SLP
 
 __all__ = ["SLPSpannerEvaluator"]
@@ -160,6 +160,11 @@ def _char_table_store(det: DeterministicEVA) -> _CharTableStore:
         return store
 
 
+def _entry_nbytes(entry: tuple[np.ndarray, BitMatrix, BitMatrix]) -> int:
+    sigma, t, t_em = entry
+    return sigma.nbytes + t.rows.nbytes + t_em.rows.nbytes
+
+
 class SLPSpannerEvaluator:
     """Compressed evaluation of one regular spanner over SLP documents."""
 
@@ -182,38 +187,14 @@ class SLPSpannerEvaluator:
         self._cont_end = PackedVec(
             self._accepting | mark_e @ self._accepting
         )
-        #: two-level cache index: serial -> node -> (σ, T, T_em), where
-        #: T_em only counts runs with at least one marker emission (the
-        #: enumeration pruning matrix).  Keying by arena first keeps every
-        #: maintenance operation — rollback invalidation, dead-arena
-        #: purge, per-store stats — O(that arena's own entries) instead of
-        #: O(the total cache across all arenas sharing this evaluator.
-        self._arena_entries: dict[
-            int, dict[int, tuple[np.ndarray, BitMatrix, BitMatrix]]
-        ] = {}
-        #: serial -> resident packed bytes of that arena's entries (the
-        #: per-spanner figure :meth:`repro.db.SpannerDB.stats` reports)
-        self._arena_bytes: dict[int, int] = {}
-        #: serial -> node ids whose *entire subtree* is cached ("sealed").
-        #: A sealed root answers a repeat preprocess in O(1) and the
-        #: discovery walk never descends below a sealed node, so after an
-        #: edit (arena mutations only append nodes) discovery costs
-        #: O(fresh + log n), not O(n).  Sealing is conservative: a node is
-        #: sealed only once a completed walk has verified its entry and
-        #: both children sealed, bottom-up.  Invalidation drops sealed
-        #: ids exactly like entries (rollback reuses node ids).
-        self._sealed: dict[int, set[int]] = {}
-        self._resident_bytes = 0
-        #: serial -> finalizer purging that arena's entries on collection,
-        #: so a long-lived evaluator does not pin dead arenas' matrices
-        self._arena_finalizers: dict[int, weakref.finalize] = {}
+        #: the node cache: serial -> node -> (σ, T, T_em), where T_em only
+        #: counts runs with at least one marker emission (the enumeration
+        #: pruning matrix), with sealed roots and per-arena resident bytes
+        self.index = ArenaIndex(_entry_nbytes)
 
     # ------------------------------------------------------------------
     # matrices
     # ------------------------------------------------------------------
-    def _char_tables(self, ch: str) -> tuple[np.ndarray, BitMatrix, BitMatrix]:
-        return self._char_tables_cache.get(ch)
-
     def char_entries(
         self, chars
     ) -> dict[str, tuple[np.ndarray, BitMatrix, BitMatrix]]:
@@ -224,22 +205,6 @@ class SLPSpannerEvaluator:
         :mod:`repro.parallel` read a plain dict instead of contending on
         the store lock once per document position."""
         return {ch: self._char_tables_cache.get(ch) for ch in set(chars)}
-
-    def _store(
-        self, serial: int, node: int,
-        entry: tuple[np.ndarray, BitMatrix, BitMatrix],
-    ) -> None:
-        self._arena_entries.setdefault(serial, {})[node] = entry
-        sigma, t, t_em = entry
-        nbytes = sigma.nbytes + t.rows.nbytes + t_em.rows.nbytes
-        self._resident_bytes += nbytes
-        self._arena_bytes[serial] = self._arena_bytes.get(serial, 0) + nbytes
-
-    def _drop(self, serial: int, node: int) -> None:
-        sigma, t, t_em = self._arena_entries[serial].pop(node)
-        nbytes = sigma.nbytes + t.rows.nbytes + t_em.rows.nbytes
-        self._resident_bytes -= nbytes
-        self._arena_bytes[serial] -= nbytes
 
     def preprocess(self, slp: SLP, node: int, budget=None) -> int:
         """Compute (σ, T, T_em) for every reachable node; returns the number
@@ -267,8 +232,8 @@ class SLPSpannerEvaluator:
         (``slp.eval.kernel_ns``) are recorded — the instrumentation runs
         once per call, outside the node loop."""
         observing = obs.enabled()
-        serial = slp.serial
-        if node in self._sealed.get(serial, ()):
+        index = self.index
+        if index.is_sealed(slp, node):
             # sealed root: everything reachable is cached — no walk at all
             if observing:
                 registry = obs.metrics()
@@ -279,8 +244,8 @@ class SLPSpannerEvaluator:
         fresh_entries, walked, skipped = self._compute_frontier(
             slp, node, budget
         )
-        fresh = self.merge_entries(slp, fresh_entries)
-        self._seal_walked(slp, walked)
+        fresh = index.merge(slp, fresh_entries)
+        index.seal(slp, walked)
         if observing:
             registry = obs.metrics()
             registry.counter("slp.eval.cache_misses").inc(fresh)
@@ -292,55 +257,11 @@ class SLPSpannerEvaluator:
             )
         return fresh
 
-    def ensure_finalizer(self, slp: SLP) -> None:
-        """Arm the purge-on-collection hook for *slp*'s arena (idempotent).
-
-        Must run on the thread that owns the evaluator before worker
-        threads start producing entries for that arena."""
-        serial = slp.serial
-        if serial not in self._arena_finalizers:
-            self._arena_finalizers[serial] = weakref.finalize(
-                slp, self._purge_arena, serial
-            )
-
     def merge_entries(self, slp: SLP, fresh_entries: dict) -> int:
         """Adopt entries produced by :meth:`compute_entries`; returns how
         many were actually added (keys another merge beat us to are kept
         as-is — entries for one node are interchangeable pure values)."""
-        self.ensure_finalizer(slp)
-        arena = self._arena_entries.setdefault(slp.serial, {})
-        added = 0
-        for (serial, node), entry in fresh_entries.items():
-            if node not in arena:
-                self._store(serial, node, entry)
-                added += 1
-        return added
-
-    def _seal_walked(self, slp: SLP, walked: list[int]) -> None:
-        """Seal every walked node whose subtree is now fully cached.
-
-        *walked* is the bottom-up discovery order of one completed
-        frontier walk, so children precede parents and every child of a
-        walked pair node is either earlier in the list or was already
-        sealed (the walk stops only at sealed nodes).  Sealing therefore
-        propagates in one linear pass; the entry-present check keeps it
-        conservative should a caller ever merge a non-closed entry set."""
-        serial = slp.serial
-        arena = self._arena_entries.get(serial)
-        if arena is None:
-            return
-        sealed = self._sealed.setdefault(serial, set())
-        is_terminal = slp.is_terminal
-        children = slp.children
-        for current in walked:
-            if current not in arena:
-                continue
-            if is_terminal(current):
-                sealed.add(current)
-                continue
-            left, right = children(current)
-            if left in sealed and right in sealed:
-                sealed.add(current)
+        return self.index.merge(slp, fresh_entries)
 
     def seal_subtree(self, slp: SLP, node: int) -> bool:
         """Walk *node*'s unsealed frontier and seal every subtree whose
@@ -350,34 +271,25 @@ class SLPSpannerEvaluator:
         workers compute entries without mutating the evaluator, the owner
         thread merges them, then seals each document root so later
         queries take the O(1) sealed path."""
-        serial = slp.serial
-        sealed = self._sealed.get(serial)
-        if sealed is not None and node in sealed:
-            return True
-        walked, _ = slp.frontier(node, self._sealed.get(serial, ()))
-        self._seal_walked(slp, walked)
-        return node in self._sealed.get(serial, ())
+        return self.index.seal_subtree(slp, node)
 
     def is_sealed(self, slp: SLP, node: int) -> bool:
         """Is *node*'s entire subtree cached (the O(1) repeat path)?"""
-        return node in self._sealed.get(slp.serial, ())
+        return self.index.is_sealed(slp, node)
 
     def sealed_nodes(self, serial: int | None = None) -> int:
-        """How many nodes are sealed; restricted to one arena when
-        *serial* is given (O(1) either way)."""
-        if serial is None:
-            return sum(len(sealed) for sealed in self._sealed.values())
-        return len(self._sealed.get(serial, ()))
+        """How many nodes are sealed, in one arena or overall."""
+        return self.index.sealed_nodes(serial)
 
     def compute_entries(
         self, slp: SLP, node: int, budget=None
     ) -> tuple[dict, int]:
         """The wave computation of :meth:`preprocess`, as a pure function:
         ``(fresh_entries, visited)`` where *fresh_entries* maps
-        ``(serial, node) -> (σ, T, T_em)`` for every reachable node not
-        already cached, and *visited* counts the nodes the discovery walk
-        actually examined (sealed subtrees are skipped wholesale, so on a
-        warm cache this is O(fresh + log n), not O(n)).
+        ``node -> (σ, T, T_em)`` (ids of *slp*) for every reachable node
+        not already cached, and *visited* counts the nodes the discovery
+        walk actually examined (sealed subtrees are skipped wholesale, so
+        on a warm cache this is O(fresh + log n), not O(n)).
 
         Nothing on the evaluator is mutated, and the shared node cache is
         only *read* — so any number of threads may run this concurrently
@@ -399,193 +311,128 @@ class SLPSpannerEvaluator:
         self, slp: SLP, node: int, budget=None
     ) -> tuple[dict, list[int], int]:
         """:meth:`compute_entries` plus the walk itself:
-        ``(fresh_entries, walked, skipped)`` where *walked* is the
-        bottom-up discovery order (what :meth:`_seal_walked` consumes)
-        and *skipped* counts the sealed nodes the walk stopped at."""
-        serial = slp.serial
-        nodes, skipped = slp.frontier(node, self._sealed.get(serial, ()))
-        data = self._arena_entries.get(serial, {})
-        fresh_entries: dict[
-            tuple[int, int], tuple[np.ndarray, BitMatrix, BitMatrix]
-        ] = {}
-        level: dict[int, int] = {}
-        waves: list[list[tuple[int, int, int]]] = []
-        for current in nodes:
-            if current in data:
-                continue
-            if budget is not None:
-                budget.step()
-            if slp.is_terminal(current):
-                fresh_entries[(serial, current)] = self._char_tables(
-                    slp.char(current)
-                )
-                continue
-            left, right = slp.children(current)
-            depth = max(level.get(left, 0), level.get(right, 0)) + 1
-            level[current] = depth
-            if depth > len(waves):
-                waves.append([])
-            waves[depth - 1].append((current, left, right))
-        q = self.det.num_states
+        ``(fresh_entries, walked, skipped)`` as
+        :meth:`ArenaIndex.compute <repro.slp.arena_index.ArenaIndex.compute>`
+        returns them."""
         # One intern pool per pass: node matrices that come out equal
         # (different subtrees, same behaviour) become one object, so the
         # identity grouping inside bool_mm_many collapses every later
-        # wave's repeated products.
+        # wave's repeated products.  Likewise nodes with identical
+        # (σ, T, T_em) share one tuple object, which is what makes the
+        # node-level grouping collapse duplicate nodes in *later* waves.
         intern: dict = {}
-        # entry-level canonicalisation: nodes with identical (σ, T, T_em)
-        # share one tuple object, which is what makes the identity
-        # grouping below collapse duplicate nodes in *later* waves
         entry_pool: dict = {}
-        for wave in waves:
-            # Node-level identity dedup: two nodes whose operand entries
-            # are the same objects (the normal case once matrices are
-            # interned) get one computed (σ, T, T_em), and every batched
-            # step below runs on distinct groups only.
-            group_of: dict[tuple[int, int], int] = {}
-            node_group: list[int] = []
-            distinct_l: list[tuple] = []
-            distinct_r: list[tuple] = []
-            for current, left, right in wave:
-                entry_l = data.get(left)
-                if entry_l is None:
-                    entry_l = fresh_entries[(serial, left)]
-                entry_r = data.get(right)
-                if entry_r is None:
-                    entry_r = fresh_entries[(serial, right)]
-                ident = (id(entry_l), id(entry_r))
-                g = group_of.get(ident)
-                if g is None:
-                    g = len(distinct_l)
-                    group_of[ident] = g
-                    distinct_l.append(entry_l)
-                    distinct_r.append(entry_r)
-                node_group.append(g)
-            products = [
-                (entry_l[2], entry_r[1])
-                for entry_l, entry_r in zip(distinct_l, distinct_r)
-            ]
-            sig_l = np.stack([entry_l[0] for entry_l in distinct_l])
-            sig_r = np.stack([entry_r[0] for entry_r in distinct_r])
-            em_r_rows = [entry_r[2].rows for entry_r in distinct_r]
-            results = bool_mm_many(products, intern=intern)
-            # batched across the wave: σ composition, the σ_L-pull of the
-            # right T_em (≥1 emission: left emits · right any, or left pure
-            # · right emits), and T = T_em ∪ σ (no emission is exactly the
-            # σ bit — the identity that saves the second matrix product)
-            dead_l = sig_l == _DEAD
-            sigma_all = np.where(
-                dead_l, _DEAD, np.take_along_axis(sig_r, np.where(dead_l, 0, sig_l), axis=1)
-            )
-            pulled = np.stack(em_r_rows)
-            pulled = np.take_along_axis(
-                pulled, np.where(dead_l, 0, sig_l)[:, :, None], axis=1
-            )
-            pulled[dead_l] = 0
-            t_em_rows = np.stack([prod.rows for prod in results]) | pulled
-            t_rows = t_em_rows | function_bits_many(sigma_all, q)
-            d = len(distinct_l)
-            t_em_all = intern_many(
-                intern, [BitMatrix(t_em_rows[k], q) for k in range(d)]
-            )
-            t_all = intern_many(
-                intern, [BitMatrix(t_rows[k], q) for k in range(d)]
-            )
-            entries = []
-            for k in range(d):
-                ekey = (
-                    id(t_all[k]),
-                    id(t_em_all[k]),
-                    sigma_all[k].tobytes(),
-                )
-                entry = entry_pool.get(ekey)
-                if entry is None:
-                    entry = (sigma_all[k], t_all[k], t_em_all[k])
-                    entry_pool[ekey] = entry
-                entries.append(entry)
-            for (current, _, _), g in zip(wave, node_group):
-                fresh_entries[(serial, current)] = entries[g]
+        made: list = []
+
+        def combine(operands, _wave):
+            entries, distinct = self._combine_wave(operands, intern, entry_pool)
+            made.extend(distinct)
+            return entries
+
+        result = self.index.compute(
+            slp, node, self._char_tables_cache.get, combine, budget
+        )
         # pair matrices stay resident packed-only: drop the dense mirrors
         # the wave products accumulated (recomputed lazily if an
         # incremental preprocess later multiplies against them); char
         # tables keep theirs — they are the hottest operands and bounded
         # by the LRU
-        for wave in waves:
-            for current, _, _ in wave:
-                _, t, t_em = fresh_entries[(serial, current)]
-                t.release_dense()
-                t_em.release_dense()
-        return fresh_entries, nodes, skipped
+        for _, t, t_em in made:
+            t.release_dense()
+            t_em.release_dense()
+        return result
+
+    def _combine_wave(
+        self, operands: list[tuple], intern: dict, entry_pool: dict
+    ) -> tuple[list, list]:
+        """One wave's (σ, T, T_em) from its operand entry pairs:
+        ``(per-node entries, distinct entries)``."""
+        q = self.det.num_states
+        # Node-level identity dedup: two nodes whose operand entries are
+        # the same objects (the normal case once matrices are interned)
+        # get one computed (σ, T, T_em), and every batched step below runs
+        # on distinct groups only.
+        group_of: dict[tuple[int, int], int] = {}
+        node_group: list[int] = []
+        distinct_l: list[tuple] = []
+        distinct_r: list[tuple] = []
+        for entry_l, entry_r in operands:
+            ident = (id(entry_l), id(entry_r))
+            g = group_of.get(ident)
+            if g is None:
+                g = len(distinct_l)
+                group_of[ident] = g
+                distinct_l.append(entry_l)
+                distinct_r.append(entry_r)
+            node_group.append(g)
+        products = [
+            (entry_l[2], entry_r[1])
+            for entry_l, entry_r in zip(distinct_l, distinct_r)
+        ]
+        sig_l = np.stack([entry_l[0] for entry_l in distinct_l])
+        sig_r = np.stack([entry_r[0] for entry_r in distinct_r])
+        em_r_rows = [entry_r[2].rows for entry_r in distinct_r]
+        results = bool_mm_many(products, intern=intern)
+        # batched across the wave: σ composition, the σ_L-pull of the
+        # right T_em (≥1 emission: left emits · right any, or left pure
+        # · right emits), and T = T_em ∪ σ (no emission is exactly the
+        # σ bit — the identity that saves the second matrix product)
+        dead_l = sig_l == _DEAD
+        sigma_all = np.where(
+            dead_l, _DEAD, np.take_along_axis(sig_r, np.where(dead_l, 0, sig_l), axis=1)
+        )
+        pulled = np.stack(em_r_rows)
+        pulled = np.take_along_axis(
+            pulled, np.where(dead_l, 0, sig_l)[:, :, None], axis=1
+        )
+        pulled[dead_l] = 0
+        t_em_rows = np.stack([prod.rows for prod in results]) | pulled
+        t_rows = t_em_rows | function_bits_many(sigma_all, q)
+        d = len(distinct_l)
+        t_em_all = intern_many(
+            intern, [BitMatrix(t_em_rows[k], q) for k in range(d)]
+        )
+        t_all = intern_many(
+            intern, [BitMatrix(t_rows[k], q) for k in range(d)]
+        )
+        entries = []
+        for k in range(d):
+            ekey = (
+                id(t_all[k]),
+                id(t_em_all[k]),
+                sigma_all[k].tobytes(),
+            )
+            entry = entry_pool.get(ekey)
+            if entry is None:
+                entry = (sigma_all[k], t_all[k], t_em_all[k])
+                entry_pool[ekey] = entry
+            entries.append(entry)
+        return [entries[g] for g in node_group], entries
 
     def cached_nodes(self, serial: int | None = None) -> int:
-        """How many (SLP node → matrices) entries are cached; restricted to
-        one arena when *serial* is given (O(1) either way — the per-arena
-        index makes per-store stats free)."""
-        if serial is None:
-            return sum(len(arena) for arena in self._arena_entries.values())
-        return len(self._arena_entries.get(serial, ()))
+        """How many (SLP node → matrices) entries are cached, in one arena
+        or overall."""
+        return self.index.cached_nodes(serial)
 
     def cached_node_ids(self, slp: SLP) -> list[int]:
-        """The node ids of *slp* whose ``(σ, T, T_em)`` entry is cached
-        (arbitrary order; O(this arena's entries), other arenas sharing
-        the evaluator are never scanned).
+        """The node ids of *slp* whose ``(σ, T, T_em)`` entry is cached.
         :func:`repro.parallel.preprocess_bulk` ships this set to
         process-backend workers so they return exactly the entries this
         evaluator lacks — however warm their own caches are."""
-        return list(self._arena_entries.get(slp.serial, ()))
+        return self.index.cached_node_ids(slp)
 
     def node_entry(self, slp: SLP, node: int):
         """The cached ``(σ, T, T_em)`` entry for one node, or ``None``."""
-        arena = self._arena_entries.get(slp.serial)
-        return arena.get(node) if arena is not None else None
+        return self.index.node_entry(slp, node)
 
     def cache_bytes(self) -> int:
         """Resident bytes of packed node matrices plus shared char tables."""
-        return self._resident_bytes + self._char_tables_cache.nbytes()
+        return self.index.total_bytes + self._char_tables_cache.nbytes()
 
     def arena_cache_stats(self, serial: int) -> dict:
-        """``{"entries", "bytes", "sealed"}`` for one arena, in O(1).
-
-        What :meth:`repro.db.SpannerDB.stats` reports per spanner — the
-        per-arena index maintains the counts incrementally, so stats never
-        scan the cache."""
-        return {
-            "entries": len(self._arena_entries.get(serial, ())),
-            "bytes": self._arena_bytes.get(serial, 0),
-            "sealed": len(self._sealed.get(serial, ())),
-        }
-
-    def _purge_arena(self, serial: int) -> None:
-        """Drop every cached entry of a collected arena (weakref callback);
-        O(that arena's entries) — other arenas are untouched, unscanned."""
-        self._arena_finalizers.pop(serial, None)
-        self._sealed.pop(serial, None)
-        arena = self._arena_entries.pop(serial, None)
-        if arena is not None:
-            self._resident_bytes -= self._arena_bytes.pop(serial, 0)
-
-    def invalidate_from(self, slp: SLP, mark: int) -> int:
-        """Drop cached matrices for nodes of *slp* with id ``>= mark``.
-
-        Transaction rollback truncates the arena back to a mark; node ids
-        at or above it will be *reused* by later allocations, so any cached
-        matrices keyed on them would silently describe the wrong document.
-        Sealed ids at or above the mark are discarded with their entries —
-        a stale sealed root would otherwise answer a repeat preprocess
-        with matrices of the rolled-back document.  Sealed ids *below* the
-        mark stay sealed: children always precede parents in the arena,
-        so a surviving node's whole subtree also survives the truncation.
-        O(this arena's own entries); returns the number dropped."""
-        serial = slp.serial
-        arena = self._arena_entries.get(serial)
-        if arena is None:
-            return 0
-        stale = [node for node in arena if node >= mark]
-        for node in stale:
-            self._drop(serial, node)
-        sealed = self._sealed.get(serial)
-        if sealed is not None:
-            self._sealed[serial] = {n for n in sealed if n < mark}
-        return len(stale)
+        """``{"entries", "bytes", "sealed"}`` for one arena, in O(1) —
+        what :meth:`repro.db.SpannerDB.stats` reports per spanner."""
+        return self.index.arena_cache_stats(serial)
 
     # ------------------------------------------------------------------
     # queries
@@ -593,7 +440,7 @@ class SLPSpannerEvaluator:
     def is_nonempty(self, slp: SLP, node: int, budget=None) -> bool:
         """``⟦M⟧(D(node)) ≠ ∅`` without decompression: one T-product chain."""
         self.preprocess(slp, node, budget)
-        return self.entry_is_nonempty(self._arena_entries[slp.serial][node])
+        return self.entry_is_nonempty(self.index.node_entry(slp, node))
 
     def entry_is_nonempty(self, entry) -> bool:
         """Does a whole-document ``(σ, T, T_em)`` entry admit any accepted
@@ -625,7 +472,7 @@ class SLPSpannerEvaluator:
         self.preprocess(slp, node, budget)
         det = self.det
         n = slp.length(node)
-        sigma_root, _, _ = self._arena_entries[slp.serial][node]
+        sigma_root, _, _ = self.index.node_entry(slp, node)
 
         def trailing(q_out: int, emissions: tuple) -> Iterator[tuple]:
             if self._accepting[q_out]:
@@ -763,10 +610,9 @@ class SLPSpannerEvaluator:
         :func:`~repro.kernels.bitmat.matvec` products — no float32
         conversions anywhere on this path."""
         det = self.det
-        #: single-level per-arena view — the hot descent loop below does
-        #: one plain-int dict lookup per child instead of building
-        #: (serial, node) tuple keys
-        data = self._arena_entries[slp.serial]
+        #: the per-arena view — the hot descent loop below does one
+        #: plain-int dict lookup per child
+        data = self.index.entries(slp)
         atoms = det.atoms
         char_trans = det.char_trans
         set_trans = det.set_trans

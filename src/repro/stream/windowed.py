@@ -274,8 +274,8 @@ class WindowedSpannerStream:
             raise
         except BaseException:
             # stream arena is single-owner, so rollback mirrors db.py's
-            # transaction machinery on a private arena
-            self._evaluator.invalidate_from(self.slp, mark)  # thread-safety-ok
+            # transaction machinery on a private arena (truncation
+            # invalidates the evaluator's entries above the mark)
             self.slp.truncate(mark)  # thread-safety-ok
             (
                 self.node,
@@ -371,7 +371,7 @@ class WindowedSpannerStream:
         except BaseException:
             # previous state untouched; drop the half-built arena's
             # entries eagerly instead of waiting for its finalizer
-            self._evaluator.invalidate_from(fresh_slp, 0)  # thread-safety-ok
+            self._evaluator.index.drop(fresh_slp.serial)
             raise
         # commit, then eagerly release the old arena's cached matrices
         self.slp = fresh_slp
@@ -383,7 +383,7 @@ class WindowedSpannerStream:
         if chunk:
             self._frontier_complete = False
         self._rebuilds += 1
-        self._evaluator.invalidate_from(old_slp, 0)  # thread-safety-ok
+        self._evaluator.index.drop(old_slp.serial)
         if obs.enabled():
             obs.metrics().counter("stream.rebuilds").inc()
         return fresh

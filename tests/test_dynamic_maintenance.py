@@ -5,7 +5,8 @@ The paper's dynamic setting (Section 4.2, [40]) promises that after a CDE
 edit only the O(|φ|·log d) fresh nodes cost anything.  These tests pin the
 engine to that promise: a repeat query on a sealed root performs *zero*
 topological visits, a post-append walk visits O(fresh + log n) nodes, and
-``invalidate_from`` unseals exactly what rollback's id reuse could alias.
+``SLP.truncate`` unseals exactly what rollback's id reuse could alias, in
+every live cache of the arena.
 
 The 200-seed differential lane (``slow_fuzz``, excluded by default) asserts
 ``edit + incremental preprocess == rebuild-from-scratch`` bit-for-bit on
@@ -15,22 +16,37 @@ astral-plane unicode documents.
 
 import gc
 import random
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro import SpannerDB, obs
+from repro.kernels.plan import configure_plan_cache, plan_cache
 from repro.regex import compile_nfa, spanner_from_regex
 from repro.slp import (
+    ArenaIndex,
     CompressedMembership,
     CompressedPatternMatcher,
     Delete,
     Doc,
     DocumentDatabase,
     Editor,
+    Extract,
     SLP,
     SLPSpannerEvaluator,
+    apply_cde,
     balanced_node,
+    eval_cde,
     power_node,
     simulate_uncompressed,
 )
@@ -149,8 +165,8 @@ class TestUnsealing:
         evaluator.preprocess(slp, first)
         assert evaluator.is_sealed(slp, first)
         stale_sigma = evaluator.node_entry(slp, first)[0].copy()
-        # transaction rollback: invalidate above the mark, then truncate
-        evaluator.invalidate_from(slp, mark)
+        # transaction rollback: truncation invalidates every live cache
+        # above the mark before discarding the nodes
         slp.truncate(mark)
         assert not evaluator.is_sealed(slp, first)
         assert evaluator.is_sealed(slp, base), "rollback unsealed survivors"
@@ -181,6 +197,92 @@ class TestUnsealing:
             "bytes": 0,
             "sealed": 0,
         }
+
+
+# ---------------------------------------------------------------------------
+# collection: a cache never pins its consumer, a dead arena never pins data
+# ---------------------------------------------------------------------------
+class TestCollection:
+    def test_evicted_plan_evaluators_are_collectable(self):
+        """The arena finalizer must not keep evaluators the plan cache has
+        evicted alive for as long as the store lives."""
+        configure_plan_cache(max_entries=2)
+        try:
+            db = SpannerDB()
+            db.add_document("d", "abba" * 8)
+            node = db.document_node("d")
+            refs = []
+            for word in ["a", "b", "ab", "ba", "aa", "bb"]:
+                evaluator = plan_cache().get_or_compile(
+                    f"(a|b)*!x{{{word}}}(a|b)*"
+                ).evaluator
+                evaluator.preprocess(db.slp, node)
+                refs.append(weakref.ref(evaluator))
+                del evaluator
+            gc.collect()
+            assert sum(ref() is not None for ref in refs) <= 2
+            assert db.slp.num_nodes() > 0  # the store is still alive
+        finally:
+            configure_plan_cache()
+
+    def test_dropped_membership_is_collectable(self):
+        slp = SLP()
+        node = balanced_node(slp, "abab")
+        oracle = CompressedMembership(compile_nfa("(ab)*"))
+        assert oracle.accepts(slp, node)
+        ref = weakref.ref(oracle)
+        del oracle
+        gc.collect()
+        assert ref() is None
+        assert slp.num_nodes() > 0
+
+    def test_pattern_matcher_purges_collected_arenas(self):
+        matcher = CompressedPatternMatcher("ab")
+        for k in range(5):
+            slp = SLP()
+            assert matcher.count(slp, balanced_node(slp, "ab" * (k + 2))) == k + 2
+        assert matcher.cached_nodes() > 0
+        del slp
+        gc.collect()
+        assert matcher.cached_nodes() == 0
+
+
+class TestConcurrentAttach:
+    def test_readers_attaching_one_arena_lose_nothing(self):
+        """Concurrent readers may be the first to cache an arena together:
+        every index must end up registered for truncation, and every
+        reader's entries must survive in a shared index."""
+        workers = 8
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                slp = SLP()
+                nodes = [slp.terminal(ch) for ch in "abcdefgh"[:workers]]
+                shared = ArenaIndex()
+                private = [ArenaIndex() for _ in range(workers)]
+                barrier = threading.Barrier(workers)
+
+                def attach(k):
+                    barrier.wait(timeout=10)
+                    shared.merge(slp, {nodes[k]: k})
+                    private[k].merge(slp, {nodes[k]: k})
+
+                threads = [
+                    threading.Thread(target=attach, args=(k,))
+                    for k in range(workers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert shared.cached_nodes(slp.serial) == workers
+                slp.truncate(0)
+                for index in [shared, *private]:
+                    assert index.cached_nodes(slp.serial) == 0
+        finally:
+            sys.setswitchinterval(previous)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +329,6 @@ class TestMembershipSealed:
         mark = slp.num_nodes()
         first = slp.append_text(base, "ba")
         assert not oracle.accepts(slp, first)
-        oracle.invalidate_from(slp, mark)
         slp.truncate(mark)
         assert not oracle.is_sealed(slp, first)
         # the freed id range is reallocated for different content; a stale
@@ -281,7 +382,6 @@ class TestPatternSealed:
         mark = slp.num_nodes()
         first = slp.append_text(base, "ab")
         assert matcher.count(slp, first) == 3
-        matcher.invalidate_from(slp, mark)
         slp.truncate(mark)
         assert not matcher.is_sealed(slp, first)
         # freed ids come back with different content; stale counts on any
@@ -332,6 +432,178 @@ class TestStackIntegration:
 
 
 # ---------------------------------------------------------------------------
+# model-based: three consumers of one arena under edits, rollback, collection
+# ---------------------------------------------------------------------------
+MACHINE_SPANNER = "!x{(a|b)*}!y{b}!z{(a|b)*}"
+MACHINE_NFA = compile_nfa("(a|b)*abb?(a|b)*")
+MACHINE_TEXTS = st.text(alphabet="ab", min_size=1, max_size=12)
+POSITIONS = st.integers(min_value=0, max_value=2**16)
+
+
+def _spanner_nbytes(entry):
+    sigma, t, t_em = entry
+    return sigma.nbytes + t.rows.nbytes + t_em.rows.nbytes
+
+
+def _overlapping(text, pattern):
+    return [i for i in range(len(text)) if text.startswith(pattern, i)]
+
+
+class SharedArenaMachine(RuleBasedStateMachine):
+    """A plan-cache evaluator, a membership oracle and a pattern matcher
+    share one document store.  Appends, CDE edits, rolled-back staging with
+    id reuse, and dropping the whole arena must leave every answer and
+    every cached node entry equal to a rebuild from scratch, bit for bit,
+    with each arena's byte count equal to the sum over its live entries."""
+
+    def __init__(self):
+        super().__init__()
+        self.evaluator = plan_cache().get_or_compile(MACHINE_SPANNER).evaluator
+        self.membership = CompressedMembership(MACHINE_NFA)
+        self.matcher = CompressedPatternMatcher("ab")
+        self.texts = {}
+        self.db = DocumentDatabase()
+
+    def _use(self, node):
+        slp = self.db.slp
+        list(self.evaluator.enumerate(slp, node))
+        self.membership.accepts(slp, node)
+        self.matcher.count(slp, node)
+
+    def _add(self, node, text):
+        name = f"d{len(self.texts)}"
+        self.db.add_node(name, node)
+        self.texts[name] = text
+        self._use(node)
+
+    def _pick(self, pick):
+        names = sorted(self.texts)
+        return names[pick % len(names)]
+
+    def _factor(self, name, i, j):
+        """A 1-based inclusive factor range of *name* that is not the
+        whole document (deleting everything is not an edit)."""
+        length = len(self.texts[name])
+        i = 1 + i % length
+        j = i + j % (length - i + 1)
+        if (i, j) == (1, length):
+            return None
+        return i, j
+
+    @initialize(text=MACHINE_TEXTS)
+    def first_document(self, text):
+        self._add(self.db.add_text("seed", text), text)
+
+    @rule(pick=POSITIONS, text=MACHINE_TEXTS)
+    def append(self, pick, text):
+        name = self._pick(pick)
+        node = self.db.slp.append_text(self.db.node(name), text)
+        self._add(node, self.texts[name] + text)
+
+    @rule(pick=POSITIONS, i=POSITIONS, j=POSITIONS, extract=st.booleans())
+    def edit(self, pick, i, j, extract):
+        name = self._pick(pick)
+        factor = self._factor(name, i, j)
+        if factor is None:
+            return
+        expr = (Extract if extract else Delete)(Doc(name), *factor)
+        self._add(apply_cde(expr, self.db), eval_cde(expr, self.texts))
+
+    @rule(pick=POSITIONS, text=MACHINE_TEXTS, i=POSITIONS, j=POSITIONS)
+    def rolled_back_staging(self, pick, text, i, j):
+        """Stage fresh nodes, warm every consumer on them, roll back; the
+        next rule reallocates the freed ids for different content."""
+        slp = self.db.slp
+        name = self._pick(pick)
+        mark = slp.mark()
+        self._use(slp.append_text(self.db.node(name), text))
+        factor = self._factor(name, i, j)
+        if factor is not None:
+            self._use(apply_cde(Delete(Doc(name), *factor), self.db))
+        slp.truncate(mark)
+        for consumer in (self.evaluator, self.membership, self.matcher):
+            assert all(n < mark for n in consumer.index.cached_node_ids(slp))
+
+    @rule()
+    def drop_arena(self):
+        """Rebuild the store on a fresh arena and collect the old one."""
+        serial = self.db.slp.serial
+        self.db = DocumentDatabase()
+        for name, text in sorted(self.texts.items()):
+            self._use(self.db.add_text(name, text))
+        gc.collect()
+        for consumer in (self.evaluator, self.membership, self.matcher):
+            assert consumer.index.arena_cache_stats(serial) == {
+                "entries": 0,
+                "bytes": 0,
+                "sealed": 0,
+            }
+
+    @invariant()
+    def answers_match_the_text(self):
+        slp = self.db.slp
+        nfa = MACHINE_NFA
+        for name, text in self.texts.items():
+            node = self.db.node(name)
+            assert self.evaluator.evaluate(slp, node) == (
+                self.evaluator.evaluate_text(text)
+            )
+            assert self.membership.accepts(slp, node) == simulate_uncompressed(
+                nfa, text
+            )
+            assert self.matcher.count(slp, node) == len(_overlapping(text, "ab"))
+            assert list(self.matcher.occurrences(slp, node)) == _overlapping(
+                text, "ab"
+            )
+
+    @invariant()
+    def entries_match_a_rebuild(self):
+        slp = self.db.slp
+        cold_eval = SLPSpannerEvaluator(self.evaluator.det)
+        cold_membership = CompressedMembership(MACHINE_NFA)
+        cold_matcher = CompressedPatternMatcher("ab")
+        for node in self.evaluator.index.cached_node_ids(slp):
+            cold_eval.preprocess(slp, node)
+            assert _entries_equal(
+                self.evaluator.node_entry(slp, node),
+                cold_eval.node_entry(slp, node),
+            ), f"spanner entry drift at node {node}"
+        for node in self.membership.index.cached_node_ids(slp):
+            assert np.array_equal(
+                self.membership.index.node_entry(slp, node).rows,
+                cold_membership.node_bitmatrix(slp, node).rows,
+            ), f"membership entry drift at node {node}"
+        for node in self.matcher.index.cached_node_ids(slp):
+            cold_matcher.count(slp, node)
+            assert self.matcher.index.node_entry(
+                slp, node
+            ) == cold_matcher.index.node_entry(slp, node)
+
+    @invariant()
+    def bytes_match_live_entries(self):
+        slp = self.db.slp
+        for consumer, nbytes in (
+            (self.evaluator, _spanner_nbytes),
+            (self.membership, lambda matrix: matrix.rows.nbytes),
+            (self.matcher, lambda _: 0),
+        ):
+            index = consumer.index
+            live = sum(map(nbytes, index.entries(slp).values()))
+            assert index.arena_cache_stats(slp.serial)["bytes"] == live
+        # the private consumers hold no other arena once collected
+        for consumer in (self.membership, self.matcher):
+            assert consumer.index.total_bytes == consumer.index.arena_cache_stats(
+                slp.serial
+            )["bytes"]
+
+
+TestSharedArenaMachine = SharedArenaMachine.TestCase
+TestSharedArenaMachine.settings = settings(
+    max_examples=20, stateful_step_count=8, deadline=None
+)
+
+
+# ---------------------------------------------------------------------------
 # 200-seed differential lane (slow_fuzz, excluded by default)
 # ---------------------------------------------------------------------------
 _ASTRAL = "\U0001f600\U0001f680\U00010348"
@@ -374,7 +646,6 @@ def test_incremental_equals_rebuild_bit_for_bit(seed):
             mark = slp.num_nodes()
             scratch = slp.append_text(node, _random_text(rng, rng.randint(1, 8)))
             evaluator.preprocess(slp, scratch)
-            evaluator.invalidate_from(slp, mark)
             slp.truncate(mark)
             assert not evaluator.is_sealed(slp, scratch)
             # reuse the freed ids for different content (the aliasing hazard)

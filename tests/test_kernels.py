@@ -337,6 +337,23 @@ class TestPlanCache:
         assert stats["over_budget"] >= 1
         assert stats["bytes"] == 0
 
+    def test_stats_shrink_plans_that_grew_since_their_last_access(self):
+        # regression: stats() re-accounted grown plans but never shrank,
+        # reporting bytes above max_bytes
+        from repro.slp import SLP, balanced_node
+
+        cache = PlanCache(max_entries=8, max_bytes=20_000)
+        big = cache.get_or_compile("!x{(a|b)*}!y{b}!z{(a|b)*}")
+        slp = SLP()
+        rng = np.random.default_rng(7)
+        text = "".join(rng.choice(["a", "b"], size=2048))
+        big.evaluator.preprocess(slp, balanced_node(slp, text))
+        assert big.cache_bytes() > cache.max_bytes
+        stats = cache.stats()
+        assert stats["bytes"] <= stats["max_bytes"]
+        assert stats["over_budget"] == 1
+        assert stats["entries"] == len(cache) == 0
+
     def test_distinct_sources_compile_concurrently(self, monkeypatch):
         # regression: get_or_compile used to hold the cache lock across
         # _compile, so a slow compile of one source stalled every other

@@ -9,7 +9,8 @@ import pytest
 
 from repro import SpannerDB
 from repro.errors import SLPError, TransactionError
-from repro.slp import Concat, Delete, Doc
+from repro.regex import spanner_from_regex
+from repro.slp import Concat, Delete, Doc, SLPSpannerEvaluator
 
 
 PATTERN = "(a|b)*!x{b}(a|b)*"
@@ -130,6 +131,42 @@ class TestCacheConsistencyAfterRollback:
         # reuse the freed ids for a document with *different* answers
         db.add_document("real", "aaaa")
         assert list(db.query("m", "real")) == []  # no b in "aaaa"
+
+    # An evaluator first used inside a rolled-back transaction is not among
+    # the store's registered spanners at rollback time, but the process-wide
+    # plan cache hands it out again afterwards: truncation must reach it.
+    BB = "(a|b)*!x{bb}(a|b)*"
+    GHOST = "a" * 16  # no bb
+    REAL = "ababababababaabb"  # same length, ids reused; bb at [15,17)
+
+    def _cold(self, db):
+        evaluator = SLPSpannerEvaluator(spanner_from_regex(self.BB))
+        return sorted(map(str, evaluator.evaluate(db.slp, db.document_node("doc"))))
+
+    def test_spanner_registered_inside_rolled_back_transaction(self):
+        db = SpannerDB()
+        with pytest.raises(RuntimeError):
+            with db.transaction():
+                db.add_document("doc", self.GHOST)
+                db.register_spanner("bb", self.BB)
+                assert list(db.query("bb", "doc")) == []
+                raise RuntimeError
+        db.add_document("doc", self.REAL)
+        db.register_spanner("bb", self.BB)
+        got = sorted(map(str, db.query("bb", "doc")))
+        assert got == self._cold(db) == ["(x=[15,17⟩)"]
+
+    def test_query_expr_inside_rolled_back_transaction(self):
+        db = SpannerDB()
+        expression = f"'{self.BB}'"
+        with pytest.raises(RuntimeError):
+            with db.transaction():
+                db.add_document("doc", self.GHOST)
+                assert list(db.query_expr(expression, "doc")) == []
+                raise RuntimeError
+        db.add_document("doc", self.REAL)
+        got = sorted(map(str, db.query_expr(expression, "doc")))
+        assert got == self._cold(db) == ["(x=[15,17⟩)"]
 
     def test_committed_documents_unaffected_by_rollback(self):
         db = store()

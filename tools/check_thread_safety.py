@@ -7,12 +7,14 @@ Its safety argument (see ``docs/RELIABILITY.md``, "Serving runbook") rests
 on a small set of owners being the only code that touches the shared
 mutable state of the evaluation pipeline:
 
-* the per-spanner matrix caches (``_arena_entries``, ``_node_data``,
-  ``_char_tables_cache``) are owned by ``slp/spanner_eval.py`` and
-  invalidated by ``db.py``'s transaction machinery;
+* the per-arena node caches (``_arena_entries``) are owned by
+  ``slp/arena_index.py``; the pattern matcher's ``_node_data`` and the
+  evaluator's ``_char_tables_cache`` by their own modules;
 * arena truncation (``.truncate(``) is owned by ``slp/slp.py`` (the
   definition) and ``db.py`` (rollback);
-* cache invalidation (``invalidate_from``) likewise;
+* cache invalidation (``invalidate_from``) is owned by
+  ``slp/arena_index.py`` (the definition) and ``slp/slp.py`` — truncation
+  invalidates every live index of the arena, so no other module calls it;
 * every *other* module must reach this state through
   ``serve/coordination.py``'s read/write lock, never directly.
 
@@ -42,16 +44,14 @@ GUARDED = {
         "src/repro/slp/pattern.py",  # per-instance matcher cache, not served
     },
     re.compile(r"\b_arena_entries\b"): {
-        "src/repro/slp/spanner_eval.py",
+        "src/repro/slp/arena_index.py",
     },
     re.compile(r"\b_char_tables_cache\b"): {
         "src/repro/slp/spanner_eval.py",
     },
     re.compile(r"\binvalidate_from\s*\("): {
-        "src/repro/slp/spanner_eval.py",
-        "src/repro/slp/membership.py",  # defines it for its own cache
-        "src/repro/slp/pattern.py",  # likewise
-        "src/repro/db.py",
+        "src/repro/slp/arena_index.py",
+        "src/repro/slp/slp.py",  # truncate invalidates every live index
     },
     re.compile(r"\.truncate\s*\("): {
         "src/repro/slp/slp.py",
