@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -125,9 +126,9 @@ def resolve_backend(
     breaker = process_breaker()
     if not breaker.allow():
         return "thread"
-    # allow() in half-open state reserves a probe slot that must be paired
-    # with a success/failure record; the probe is the request itself, and
-    # the process path below records the outcome.
+    # allow() in half-open state reserves a probe slot that must be
+    # settled; the probe is the request itself, and _try_process settles
+    # it through the breaker's guard.
     return "process"
 
 
@@ -135,6 +136,35 @@ def _record_degraded(reason: str) -> None:
     if obs.enabled():
         obs.metrics().counter("parallel.degraded").inc()
         obs.metrics().counter(f"parallel.degraded.{reason}").inc()
+
+
+def _is_crash(exc: BaseException) -> bool:
+    return isinstance(exc, WorkerCrashError)
+
+
+def _try_process(requested: str, fn):
+    """Run *fn* (a process-backend fan-out); ``None`` means "rerun on
+    threads".
+
+    A :class:`~repro.errors.WorkerCrashError` means crash isolation did
+    its job: the workers died, we did not, and the values are identical
+    on threads — only the isolation is lost.  A
+    :class:`~repro.errors.PoolExhaustedError` is backpressure, not ill
+    health: ``"auto"`` falls back to threads, an explicit ``"process"``
+    caller gets the typed signal.  Under ``"auto"`` the breaker grant of
+    :func:`resolve_backend` is settled by the guard: only a crash counts
+    against the pool; any other outcome (typed task errors included —
+    the pool itself behaved) releases the probe as a success."""
+    try:
+        with process_breaker().guard(_is_crash) if requested == "auto" else nullcontext():
+            return fn()
+    except WorkerCrashError:
+        _record_degraded("crash")
+    except PoolExhaustedError:
+        if requested != "auto":
+            raise
+        _record_degraded("exhausted")
+    return None
 
 
 def as_evaluator(spanner) -> SLPSpannerEvaluator:
@@ -237,39 +267,14 @@ def document_matrices(
         backend=backend,
     ):
         t0 = time.perf_counter_ns() if observing else 0
+        shard_entries = None
         if backend == "process":
-            try:
-                shard_entries = _fold_shards_process(
-                    table, text, q, spans, chunk_size, budget
-                )
-            except WorkerCrashError:
-                # crash isolation did its job: the workers died, we did
-                # not.  Record the failure and rerun on threads — the
-                # values are identical, only the isolation is lost.
-                if requested == "auto":
-                    process_breaker().record_failure()
-                _record_degraded("crash")
-                backend = "thread"
-            except PoolExhaustedError:
-                # backpressure, not ill health: the breaker's probe (if
-                # any) is released as a success so ``"auto"`` can keep
-                # probing, and explicit callers get the typed signal
-                if requested == "auto":
-                    process_breaker().record_success()
-                    _record_degraded("exhausted")
-                    backend = "thread"
-                else:
-                    raise
-            except BaseException:
-                # a typed task error (deadline, step budget, …): the pool
-                # itself behaved, so the probe settles as a success
-                if requested == "auto":
-                    process_breaker().record_success()
-                raise
-            else:
-                if requested == "auto":
-                    process_breaker().record_success()
-        if backend != "process":
+            shard_entries = _try_process(
+                requested,
+                lambda: _fold_shards_process(table, text, q, spans, chunk_size, budget),
+            )
+            backend = "thread"  # what runs if the process attempt gave None
+        if shard_entries is None:
             thunks = [
                 lambda start=start, end=end: text_entry(
                     table,
@@ -453,29 +458,11 @@ def preprocess_bulk(
         t0 = time.perf_counter_ns() if observing else 0
         results = None
         if backend == "process":
-            try:
-                results = _preprocess_bulk_process(
-                    evaluator, source, slp, nodes, budget
-                )
-            except WorkerCrashError:
-                if requested == "auto":
-                    process_breaker().record_failure()
-                _record_degraded("crash")
-                backend = "thread"
-            except PoolExhaustedError:
-                if requested == "auto":
-                    process_breaker().record_success()
-                    _record_degraded("exhausted")
-                    backend = "thread"
-                else:
-                    raise
-            except BaseException:
-                if requested == "auto":
-                    process_breaker().record_success()
-                raise
-            else:
-                if requested == "auto":
-                    process_breaker().record_success()
+            results = _try_process(
+                requested,
+                lambda: _preprocess_bulk_process(evaluator, source, slp, nodes, budget),
+            )
+            backend = "thread"  # what runs if the process attempt gave None
         if results is None:
             thunks = [
                 lambda node=node: evaluator.compute_entries(slp, node, budget)

@@ -16,6 +16,13 @@ breaker keeps a run of failures on it from taking the whole service down:
   failure re-opens the breaker (with a fresh timer); ``half_open_probes``
   consecutive probe successes close it again.
 
+Every :meth:`~CircuitBreaker.allow` grant is settled through
+:meth:`~CircuitBreaker.guard`, the one place outside this module that
+decides success or failure: a normal exit or an exception that is not a
+fault of the guarded path (a schema error, an expired deadline, an
+untyped bug) settles as a success, a fault as a failure.  No exception
+can leave a half-open probe slot held.
+
 All timing uses the monotonic clock; an injectable ``clock`` makes state
 transitions unit-testable without sleeping.  Thread-safe: every
 transition happens under one lock, and :meth:`allow` accounts in-flight
@@ -28,6 +35,7 @@ State changes are observable: ``serve.breaker.state`` (gauge, 0 = closed,
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 
@@ -91,7 +99,7 @@ class CircuitBreaker:
 
         In half-open state, grants are counted as in-flight probes — at
         most ``half_open_probes`` outstanding — and every grant **must**
-        be paired with :meth:`record_success` or :meth:`record_failure`.
+        be settled, by running the guarded work under :meth:`guard`.
         """
         with self._lock:
             state = self._state_locked()
@@ -103,6 +111,20 @@ class CircuitBreaker:
                 self._probes_in_flight += 1
                 return True
             return False
+
+    @contextlib.contextmanager
+    def guard(self, is_fault):
+        """Settle one :meth:`allow` grant around the guarded work.
+
+        A normal exit records a success; an exception records a failure
+        when ``is_fault(exc)`` holds and a success otherwise (it says
+        nothing about the path's health), then propagates."""
+        try:
+            yield
+        except BaseException as exc:
+            (self.record_failure if is_fault(exc) else self.record_success)()
+            raise
+        self.record_success()
 
     def record_success(self) -> None:
         with self._lock:

@@ -3,11 +3,14 @@
 
 The request path, end to end:
 
-1. **Admission.**  :meth:`SpannerService.submit` enqueues the request in a
-   bounded queue.  A full queue *sheds* instead of buffering without
-   bound: :class:`~repro.errors.OverloadedError` carries a ``retry_after``
-   hint derived from the backlog and the observed mean service time, so
+1. **Admission.**  Every ``submit*`` builds one request and offers it to
+   the bounded :class:`~repro.serve.admission.Admission` queue.  A full
+   queue *sheds* instead of buffering without bound:
+   :class:`~repro.errors.OverloadedError` carries a ``retry_after`` hint
+   derived from the backlog and the observed mean service time, so
    well-behaved clients drain the overload instead of amplifying it.
+   :meth:`SpannerService.stop` fails every queued request with
+   :class:`~repro.errors.ServiceStoppedError`.
 2. **Deadline.**  Each request gets the tightest of its own deadline and
    the service default (:meth:`Deadline.earliest <repro.util.Deadline.earliest>`),
    threaded into a fresh :class:`~repro.util.Budget` per attempt — the
@@ -15,8 +18,8 @@ The request path, end to end:
    deadline never does.  A request that expires while queued is failed
    without doing any work.
 3. **Execution.**  A worker evaluates on the SLP-compressed path under
-   the coordinator's read lock, guarded by the
-   :class:`~repro.serve.breaker.CircuitBreaker`.  Transient failures
+   the coordinator's read lock, under
+   :meth:`CircuitBreaker.guard <repro.serve.breaker.CircuitBreaker.guard>`.  Transient failures
    (injected faults, step budgets hit on a cold cache) are retried with
    seeded exponential backoff while the service-wide
    :class:`~repro.serve.retry.RetryBudget` lasts.
@@ -42,12 +45,11 @@ semantics of every state and counter.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro import obs
 from repro.core.spans import SpanTuple
@@ -64,6 +66,7 @@ from repro.errors import (
 )
 from repro.kernels.plan import plan_cache
 from repro.parallel.procpool import pool_stats
+from repro.serve.admission import Admission, RetryAfterHint
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.coordination import StoreCoordinator
 from repro.serve.retry import RetryBudget, RetryPolicy
@@ -77,49 +80,6 @@ __all__ = [
     "RetryAfterHint",
     "Ticket",
 ]
-
-_STOP = object()
-
-
-class RetryAfterHint:
-    """One EWMA of observed service time, shared by every admission surface.
-
-    The query-queue shed path, the :class:`~repro.errors.PoolExhaustedError`
-    mapping and stream backpressure (:class:`repro.serve.StreamSession`)
-    all answer the same question — "how long until the backlog drains?" —
-    so they must answer it from *one* estimator instead of diverging
-    copies: ``hint()`` is queued work × mean service time per worker,
-    floored at 1 ms so honouring clients never busy-spin.
-
-    Thread-safe; the EWMA seeds from the first sample and then tracks a
-    window of ``window`` observations (default 32, matching the historic
-    service behaviour).
-    """
-
-    __slots__ = ("_lock", "_ema_s", "window")
-
-    def __init__(self, window: int = 32) -> None:
-        self._lock = threading.Lock()
-        self._ema_s = 0.0
-        self.window = max(1, int(window))
-
-    def observe(self, seconds: float) -> None:
-        """Feed one completed operation's service time."""
-        with self._lock:
-            if self._ema_s == 0.0:
-                self._ema_s = seconds
-            else:
-                self._ema_s += (seconds - self._ema_s) / self.window
-
-    @property
-    def ema_s(self) -> float:
-        """The current mean-service-time estimate (seconds)."""
-        with self._lock:
-            return self._ema_s
-
-    def hint(self, depth: int, workers: int = 1) -> float:
-        """Suggested retry-after seconds for a queue *depth* backlog."""
-        return max(0.001, self.ema_s * max(1, depth) / max(1, workers))
 
 
 def _is_transient(exc: BaseException) -> bool:
@@ -219,142 +179,23 @@ class Ticket:
 
 @dataclass
 class _Request:
-    """One single-document query.  The worker loop and the
-    retry/degradation machinery talk to requests only through
-    :meth:`describe` / :meth:`run_compressed` / :meth:`run_decompressed` /
-    :meth:`make_result`, so batched request types slot in without touching
-    the execution path."""
+    """One admitted request of any kind — a query, a batch, an algebra
+    expression.  The worker loop and the retry/degradation machinery see
+    only these fields: ``compressed`` and ``decompressed`` map
+    ``(db, budget)`` to the payload on the SLP path and on the degraded
+    path, and ``result_cls(payload, degraded, attempts, queue_ns,
+    exec_ns)`` wraps it for the ticket."""
 
-    spanner: str
-    document: str
+    describe: dict
+    compressed: Callable
+    decompressed: Callable
+    result_cls: type
     deadline: Deadline | None
     max_steps: int | None
-    ticket: Ticket
+    ticket: Ticket = field(default_factory=Ticket)
     enqueued_ns: int = field(default_factory=time.perf_counter_ns)
     #: the request's TraceContext, minted at admission when obs is on
     trace_ctx: object = None
-
-    def describe(self) -> dict:
-        return {"spanner": self.spanner, "document": self.document}
-
-    def run_compressed(self, db, budget) -> list[SpanTuple]:
-        return list(db.query(self.spanner, self.document, budget))
-
-    def run_decompressed(self, db, budget) -> list[SpanTuple]:
-        return list(db.query_decompressed(self.spanner, self.document, budget))
-
-    def make_result(self, payload, degraded, attempts, queue_ns, exec_ns):
-        return QueryResult(
-            tuples=payload,
-            degraded=degraded,
-            attempts=attempts,
-            queue_ns=queue_ns,
-            exec_ns=exec_ns,
-        )
-
-
-@dataclass
-class _BulkRequest:
-    """One batched query over many stored documents.
-
-    The compressed attempt goes through :meth:`SpannerDB.query_bulk
-    <repro.db.SpannerDB.query_bulk>`, which amortises the spanner lookup
-    across the batch and fans the per-document matrix preprocessing out
-    over a :mod:`repro.parallel` worker pool; the degraded attempt falls
-    back to per-document decompressed evaluation.  Either way the whole
-    batch runs under one admission slot, one deadline, and one shared
-    :class:`~repro.util.Budget`."""
-
-    spanner: str
-    documents: list[str]
-    workers: int | None
-    backend: str
-    deadline: Deadline | None
-    max_steps: int | None
-    ticket: Ticket
-    enqueued_ns: int = field(default_factory=time.perf_counter_ns)
-    #: the request's TraceContext, minted at admission when obs is on
-    trace_ctx: object = None
-
-    def describe(self) -> dict:
-        return {"spanner": self.spanner, "documents": len(self.documents)}
-
-    def run_compressed(self, db, budget) -> dict[str, list[SpanTuple]]:
-        relations = db.query_bulk(
-            self.spanner,
-            self.documents,
-            workers=self.workers,
-            backend=self.backend,
-            budget=budget,
-        )
-        return {name: list(relation) for name, relation in relations.items()}
-
-    def run_decompressed(self, db, budget) -> dict[str, list[SpanTuple]]:
-        return {
-            name: list(db.query_decompressed(self.spanner, name, budget))
-            for name in self.documents
-        }
-
-    def make_result(self, payload, degraded, attempts, queue_ns, exec_ns):
-        return BulkQueryResult(
-            results=payload,
-            degraded=degraded,
-            attempts=attempts,
-            queue_ns=queue_ns,
-            exec_ns=exec_ns,
-        )
-
-
-@dataclass
-class _ExprRequest:
-    """One spanner-algebra query (the :mod:`repro.query` language).
-
-    The compressed attempt plans and executes through
-    :meth:`SpannerDB.query_expr <repro.db.SpannerDB.query_expr>` (cost-based
-    planner, shared plan cache); the degraded attempt re-evaluates the same
-    expression by naive bottom-up materialization over the decompressed
-    text — machinery-disjoint, so a poisoned compiled path cannot leak into
-    degraded answers, and extensionally identical by the differential
-    contract of :mod:`repro.query`."""
-
-    expression: str
-    document: str | None
-    deadline: Deadline | None
-    max_steps: int | None
-    ticket: Ticket
-    enqueued_ns: int = field(default_factory=time.perf_counter_ns)
-    #: the request's TraceContext, minted at admission when obs is on
-    trace_ctx: object = None
-
-    @property
-    def spanner(self) -> str:
-        # the shed/describe label slot shared with the other request kinds
-        return f"query:{self.expression}"
-
-    def describe(self) -> dict:
-        return {"expression": self.expression, "document": self.document}
-
-    def run_compressed(self, db, budget) -> list[SpanTuple]:
-        return list(db.query_expr(self.expression, self.document, budget))
-
-    def run_decompressed(self, db, budget) -> list[SpanTuple]:
-        from repro.query.executor import evaluate_query_naive
-
-        text = ""
-        if self.document is not None:
-            text = db.document_text(self.document, budget=budget)
-        return list(
-            evaluate_query_naive(self.expression, text, db=db, budget=budget)
-        )
-
-    def make_result(self, payload, degraded, attempts, queue_ns, exec_ns):
-        return QueryResult(
-            tuples=payload,
-            degraded=degraded,
-            attempts=attempts,
-            queue_ns=queue_ns,
-            exec_ns=exec_ns,
-        )
 
 
 class SpannerService:
@@ -379,7 +220,13 @@ class SpannerService:
             capacity=self.config.retry_budget_capacity,
             refill_per_success=self.config.retry_budget_refill,
         )
-        self._queue: queue.Queue = queue.Queue(maxsize=self.config.queue_limit)
+        self._admission = Admission(
+            self.config.queue_limit,
+            workers=self.config.workers,
+            shed_metric="serve.shed",
+            depth_gauge="serve.queue_depth",
+            unit="requests",
+        )
         self._threads: list[threading.Thread] = []
         self._running = False
         self._stats_lock = threading.Lock()
@@ -387,7 +234,6 @@ class SpannerService:
             "submitted": 0,
             "completed": 0,
             "failed": 0,
-            "shed": 0,
             "expired_in_queue": 0,
             "degraded": 0,
             "retries": 0,
@@ -398,7 +244,6 @@ class SpannerService:
         #: recent per-request service times (ns), for p50/p99 and the
         #: retry-after hint; bounded so a long-lived service stays O(1)
         self._latencies_ns: deque[int] = deque(maxlen=4096)
-        self._retry_hint = RetryAfterHint()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -407,6 +252,7 @@ class SpannerService:
         if self._running:
             return self
         self._running = True
+        self._admission.open()
         for index in range(self.config.workers):
             thread = threading.Thread(
                 target=self._worker, name=f"serve-worker-{index}", daemon=True
@@ -416,20 +262,16 @@ class SpannerService:
         return self
 
     def stop(self, timeout: float | None = 10.0) -> None:
-        """Stop accepting work, fail everything still queued, join workers."""
+        """Stop accepting work, fail everything still queued, join workers.
+
+        Closing admission and collecting the queue is one atomic step, so
+        a ``submit`` racing this call is either refused or failed here;
+        every request failed by a stop counts in ``failed``."""
         if not self._running:
             return
         self._running = False
-        # fail queued requests (workers also re-check _running on dequeue)
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is not _STOP:
-                item.ticket._fail(ServiceStoppedError("service stopped"))
-        for _ in self._threads:
-            self._queue.put(_STOP)
+        for item in self._admission.close():
+            self._fail(item, ServiceStoppedError("service stopped"))
         for thread in self._threads:
             thread.join(timeout)
         alive = [t for t in self._threads if t.is_alive()]
@@ -456,16 +298,14 @@ class SpannerService:
         max_steps: int | None = None,
     ) -> Ticket:
         """Enqueue one query; sheds with a retry-after hint when full."""
-        if not self._running:
-            raise ServiceStoppedError("submit on a stopped service")
-        request = _Request(
-            spanner=spanner,
-            document=document,
-            deadline=self._clamp_deadline(deadline),
-            max_steps=max_steps if max_steps is not None else self.config.max_steps,
-            ticket=Ticket(),
+        return self._submit(
+            {"spanner": spanner, "document": document},
+            lambda db, budget: list(db.query(spanner, document, budget)),
+            lambda db, budget: list(db.query_decompressed(spanner, document, budget)),
+            QueryResult,
+            deadline,
+            max_steps,
         )
-        return self._admit(request)
 
     def submit_bulk(
         self,
@@ -490,21 +330,30 @@ class SpannerService:
         The batch occupies a single admission slot (shedding whole batches
         keeps the retry-after hint honest under overload), shares one
         deadline and step budget, and amortises the spanner lookup and
-        plan-cache hit across every document; matrix preprocessing fans
-        out over *workers* :mod:`repro.parallel` threads.  The ticket
-        resolves to a :class:`BulkQueryResult`."""
-        if not self._running:
-            raise ServiceStoppedError("submit on a stopped service")
-        request = _BulkRequest(
-            spanner=spanner,
-            documents=list(documents),
-            workers=workers,
-            backend=backend,
-            deadline=self._clamp_deadline(deadline),
-            max_steps=max_steps if max_steps is not None else self.config.max_steps,
-            ticket=Ticket(),
+        plan-cache hit across every document through
+        :meth:`SpannerDB.query_bulk <repro.db.SpannerDB.query_bulk>`;
+        matrix preprocessing fans out over *workers* :mod:`repro.parallel`
+        threads.  The degraded attempt evaluates each document
+        decompressed.  The ticket resolves to a :class:`BulkQueryResult`."""
+        documents = list(documents)
+
+        def compressed(db, budget):
+            relations = db.query_bulk(
+                spanner, documents, workers=workers, backend=backend, budget=budget
+            )
+            return {name: list(relation) for name, relation in relations.items()}
+
+        return self._submit(
+            {"spanner": spanner, "documents": len(documents)},
+            compressed,
+            lambda db, budget: {
+                name: list(db.query_decompressed(spanner, name, budget))
+                for name in documents
+            },
+            BulkQueryResult,
+            deadline,
+            max_steps,
         )
-        return self._admit(request)
 
     def submit_expression(
         self,
@@ -516,19 +365,27 @@ class SpannerService:
         """Enqueue one spanner-algebra expression (:mod:`repro.query`).
 
         Rides the same admission control, retry, and circuit-broken
-        degradation loop as single-spanner queries; the degraded path is
-        the language's naive materialization reference, so degraded
-        answers stay extensionally identical."""
-        if not self._running:
-            raise ServiceStoppedError("submit on a stopped service")
-        request = _ExprRequest(
-            expression=expression,
-            document=document,
-            deadline=self._clamp_deadline(deadline),
-            max_steps=max_steps if max_steps is not None else self.config.max_steps,
-            ticket=Ticket(),
+        degradation loop as single-spanner queries.  The compressed attempt
+        plans and executes through :meth:`SpannerDB.query_expr
+        <repro.db.SpannerDB.query_expr>`; the degraded path is the
+        language's naive materialization reference over the decompressed
+        text — machinery-disjoint, so a poisoned compiled path cannot leak
+        into degraded answers, which stay extensionally identical."""
+
+        def decompressed(db, budget):
+            from repro.query.executor import evaluate_query_naive
+
+            text = "" if document is None else db.document_text(document, budget=budget)
+            return list(evaluate_query_naive(expression, text, db=db, budget=budget))
+
+        return self._submit(
+            {"expression": expression, "document": document},
+            lambda db, budget: list(db.query_expr(expression, document, budget)),
+            decompressed,
+            QueryResult,
+            deadline,
+            max_steps,
         )
-        return self._admit(request)
 
     def query_expression(
         self,
@@ -546,37 +403,37 @@ class SpannerService:
     def _clamp_deadline(self, deadline) -> Deadline | None:
         if deadline is not None and not isinstance(deadline, Deadline):
             deadline = Deadline.after(deadline)
-        default = (
-            Deadline.after(self.config.default_deadline)
-            if self.config.default_deadline is not None
-            else None
-        )
+        default = self.config.default_deadline
+        if default is not None:
+            default = Deadline.after(default)
         return Deadline.earliest(deadline, default)
 
-    def _admit(self, request) -> Ticket:
-        self._count("submitted")
-        if obs.enabled() and request.trace_ctx is None:
+    def _submit(
+        self, describe, compressed, decompressed, result_cls, deadline, max_steps
+    ) -> Ticket:
+        """Admit one request: every ``submit*`` ends here.  A stopped
+        service refuses with ``ServiceStoppedError`` (counted ``failed``),
+        a full queue with ``OverloadedError`` (counted ``shed``)."""
+        request = _Request(
+            describe,
+            compressed,
+            decompressed,
+            result_cls,
+            self._clamp_deadline(deadline),
+            max_steps if max_steps is not None else self.config.max_steps,
+        )
+        if obs.enabled():
             # admission is *the* minting point: every span this request
             # produces — in the worker thread, in pool worker processes —
             # carries this id, and `obs stitch` reassembles them by it
             request.trace_ctx = obs.new_trace()
+        self._count("submitted")
         try:
-            self._queue.put_nowait(request)
-        except queue.Full:
-            self._count("shed")
-            retry_after = self._retry_after_hint()
-            if obs.enabled():
-                obs.metrics().counter("serve.shed").inc()
-                obs.tracer().event(
-                    "serve.shed", spanner=request.spanner, retry_after=retry_after
-                )
-            raise OverloadedError(
-                f"queue full ({self.config.queue_limit} requests); "
-                f"retry after {retry_after:.3f}s",
-                retry_after=retry_after,
-            ) from None
+            self._admission.offer(request, **describe)
+        except ServiceStoppedError as exc:
+            self._fail(request, exc)
+            raise
         if obs.enabled():
-            obs.metrics().gauge("serve.queue_depth").set(self._queue.qsize())
             obs.metrics().counter("serve.submitted").inc()
         return request.ticket
 
@@ -611,10 +468,6 @@ class SpannerService:
             workers=workers,
             backend=backend,
         ).result(timeout)
-
-    def _retry_after_hint(self) -> float:
-        """Backlog drain estimate, from the shared :class:`RetryAfterHint`."""
-        return self._retry_hint.hint(self._queue.qsize(), self.config.workers)
 
     # ------------------------------------------------------------------
     # mutations (write-locked)
@@ -652,14 +505,9 @@ class SpannerService:
     # execution
     # ------------------------------------------------------------------
     def _worker(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                return
-            if obs.enabled():
-                obs.metrics().gauge("serve.queue_depth").set(self._queue.qsize())
+        while (item := self._admission.take()) is not None:
             if not self._running:
-                item.ticket._fail(ServiceStoppedError("service stopped"))
+                self._fail(item, ServiceStoppedError("service stopped"))
                 continue
             queue_ns = time.perf_counter_ns() - item.enqueued_ns
             t0 = time.perf_counter_ns()
@@ -670,16 +518,10 @@ class SpannerService:
                         "request deadline expired while queued "
                         f"(waited {queue_ns / 1e9:.3f}s)"
                     )
-                with obs.use_context(getattr(item, "trace_ctx", None)):
+                with obs.use_context(item.trace_ctx):
                     payload, degraded, attempts = self._execute(item)
             except Exception as exc:  # noqa: BLE001 - tickets must resolve
-                self._count("failed")
-                if obs.enabled():
-                    obs.metrics().counter("serve.failed").inc()
-                    obs.metrics().counter(
-                        f"serve.failed.{type(exc).__name__}"
-                    ).inc()
-                item.ticket._fail(exc)
+                self._fail(item, exc)
                 continue
             exec_ns = time.perf_counter_ns() - t0
             self._note_completion(exec_ns, degraded)
@@ -691,15 +533,11 @@ class SpannerService:
                 if degraded:
                     registry.counter("serve.degraded").inc()
             item.ticket._complete(
-                item.make_result(payload, degraded, attempts, queue_ns, exec_ns)
+                item.result_cls(payload, degraded, attempts, queue_ns, exec_ns)
             )
 
     def _execute(self, request) -> tuple:
-        """The retry/degradation loop for one request (see module doc).
-
-        Works for any request type implementing ``describe`` /
-        ``run_compressed`` / ``run_decompressed`` — single queries and
-        batches share one execution path."""
+        """The retry/degradation loop for one request (see module doc)."""
         attempt = 0
         while True:
             attempt += 1
@@ -708,39 +546,30 @@ class SpannerService:
                     f"request deadline expired before attempt {attempt}"
                 )
             compressed = self.breaker.allow()
-            span = (
-                obs.tracer().span(
+            try:
+                with obs.tracer().span(
                     "serve.attempt",
                     attempt=attempt,
                     path="slp" if compressed else "decompressed",
-                    **request.describe(),
-                )
-                if obs.enabled()
-                else None
-            )
-            try:
-                if span is not None:
-                    span.__enter__()
-                if compressed:
-                    payload = self._attempt_compressed(request)
-                    if attempt == 1:
-                        self.retry_budget.refill()
-                    return payload, False, attempt
-                if not self.config.degrade:
-                    raise CircuitOpenError(
-                        "compressed evaluation tripped and degradation is disabled"
-                    )
-                return self._attempt_decompressed(request), True, attempt
+                    **request.describe,
+                ):
+                    if compressed:
+                        payload = self._attempt_compressed(request)
+                        if attempt == 1:
+                            self.retry_budget.refill()
+                        return payload, False, attempt
+                    if not self.config.degrade:
+                        raise CircuitOpenError(
+                            "compressed evaluation tripped and degradation is disabled"
+                        )
+                    return self._attempt_decompressed(request), True, attempt
             except PoolExhaustedError as exc:
                 # an explicitly requested process backend found every
                 # pool worker checked out: backpressure, one layer down.
                 # Surface it in the service's own vocabulary so clients
                 # see a single overload signal with a usable hint.
-                if span is not None:
-                    span.__exit__(type(exc), exc, None)
-                    span = None
                 self._count("pool_exhausted")
-                retry_after = max(exc.retry_after, self._retry_after_hint())
+                retry_after = max(exc.retry_after, self._admission.retry_after())
                 if obs.enabled():
                     obs.metrics().counter("serve.pool_exhausted").inc()
                 raise OverloadedError(
@@ -748,9 +577,6 @@ class SpannerService:
                     retry_after=retry_after,
                 ) from exc
             except SpanlibError as exc:
-                if span is not None:
-                    span.__exit__(type(exc), exc, None)
-                    span = None
                 if not _is_transient(exc):
                     raise
                 if attempt >= self.retry_policy.max_attempts or not self.retry_budget.try_spend():
@@ -769,34 +595,22 @@ class SpannerService:
                     delay = min(delay, max(0.0, request.deadline.remaining()))
                 if delay > 0:
                     time.sleep(delay)
-            finally:
-                if span is not None:
-                    span.__exit__(None, None, None)
 
     def _attempt_compressed(self, request):
-        """One compressed attempt, with breaker accounting.
+        """One compressed attempt, settling the breaker grant: only a
+        transient failure counts against the path — a schema error, an
+        expired deadline or an untyped bug says nothing about its health.
 
         The stream is materialised *inside* the read lock: tuples must not
         be produced lazily after a writer may have truncated the arena."""
         budget = self._budget_for(request)
-        try:
-            with self.coordinator.read() as db:
-                payload = request.run_compressed(db, budget)
-        except SpanlibError as exc:
-            if _is_transient(exc):
-                self.breaker.record_failure()
-            else:
-                # a schema error or expired deadline says nothing about
-                # the health of the compressed path
-                self.breaker.record_success()
-            raise
-        self.breaker.record_success()
-        return payload
+        with self.breaker.guard(_is_transient), self.coordinator.read() as db:
+            return request.compressed(db, budget)
 
     def _attempt_decompressed(self, request):
         budget = self._budget_for(request)
         with self.coordinator.read() as db:
-            return request.run_decompressed(db, budget)
+            return request.decompressed(db, budget)
 
     def _budget_for(self, request) -> Budget | None:
         if request.deadline is None and request.max_steps is None:
@@ -810,13 +624,21 @@ class SpannerService:
         with self._stats_lock:
             self._counts[key] += amount
 
+    def _fail(self, request, exc: BaseException) -> None:
+        """Resolve *request* with *exc*, counted once in ``failed``."""
+        self._count("failed")
+        if obs.enabled():
+            obs.metrics().counter("serve.failed").inc()
+            obs.metrics().counter(f"serve.failed.{type(exc).__name__}").inc()
+        request.ticket._fail(exc)
+
     def _note_completion(self, exec_ns: int, degraded: bool) -> None:
         with self._stats_lock:
             self._counts["completed"] += 1
             if degraded:
                 self._counts["degraded"] += 1
             self._latencies_ns.append(exec_ns)
-        self._retry_hint.observe(exec_ns / 1e9)
+        self._admission.hint.observe(exec_ns / 1e9)
 
     def latency_percentile(self, p: float) -> float:
         """Exact percentile (seconds) over the recent-latency window."""
@@ -829,17 +651,18 @@ class SpannerService:
 
     def stats(self) -> dict:
         """Accurate (service-locked) serving statistics plus component
-        states — the numbers the chaos suite asserts on."""
+        states — the numbers the chaos suite asserts on.  At idle,
+        ``submitted == completed + failed + shed``."""
         with self._stats_lock:
             counts = dict(self._counts)
-        ema = self._retry_hint.ema_s
         return {
             **counts,
+            "shed": self._admission.shed,
             "running": self._running,
             "workers": self.config.workers,
-            "queue_depth": self._queue.qsize(),
+            "queue_depth": len(self._admission),
             "queue_limit": self.config.queue_limit,
-            "exec_ema_s": ema,
+            "exec_ema_s": self._admission.hint.ema_s,
             "p50_s": self.latency_percentile(50),
             "p99_s": self.latency_percentile(99),
             "breaker": self.breaker.stats(),

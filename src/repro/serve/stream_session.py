@@ -5,11 +5,12 @@ single-threaded; this module wraps it in the serving layer's robustness
 machinery so a live producer and a results consumer can run against it
 concurrently:
 
-* **backpressure** — chunks enter through a bounded ingest queue;
+* **backpressure** — chunks enter through the same bounded
+  :class:`~repro.serve.admission.Admission` queue the query service uses;
   :meth:`StreamSession.feed` never blocks, it sheds with a typed
   :class:`~repro.errors.OverloadedError` whose ``retry_after`` comes from
-  the same :class:`~repro.serve.service.RetryAfterHint` EWMA the query
-  service uses, fed with observed per-window times;
+  the queue's :class:`~repro.serve.admission.RetryAfterHint` EWMA, fed
+  with observed per-window times;
 * **per-window deadlines with degradation** — a window that overruns its
   budget ships the results collected so far plus a
   :class:`~repro.errors.WindowOverrunError` *marker* instead of stalling
@@ -17,12 +18,15 @@ concurrently:
   reconciles the frontier);
 * **circuit-broken rebuild fallback** — fault or differential-guard
   failures on the incremental-append path count against an internal
-  :class:`~repro.serve.breaker.CircuitBreaker`; once it opens, windows go
+  :class:`~repro.serve.breaker.CircuitBreaker` (settled through its
+  ``guard``); once it opens, windows go
   through :meth:`~repro.stream.WindowedSpannerStream.rebuild` (correct
   but O(n)) until probes show the incremental path healthy again;
 * **clean draining** — :meth:`StreamSession.close` stops admissions,
   processes what is queued under a drain deadline, discards (and counts)
   the rest, and always returns within that deadline plus join slack.
+  An untyped error inside one window is counted in ``internal_errors``
+  and the evaluation thread goes on with the next chunk.
 
 Only typed errors cross the session boundary: ``OverloadedError`` and
 ``ServiceStoppedError`` from :meth:`feed`, ``WindowOverrunError`` as a
@@ -38,6 +42,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -46,14 +51,12 @@ from repro.errors import (
     EvaluationLimitError,
     FaultInjectedError,
     MemoryLimitError,
-    OverloadedError,
     ServiceStoppedError,
-    SpanlibError,
     StreamError,
     WindowOverrunError,
 )
+from repro.serve.admission import Admission
 from repro.serve.breaker import CircuitBreaker
-from repro.serve.service import RetryAfterHint
 from repro.stream.windowed import (
     StreamConfig,
     WindowResult,
@@ -66,6 +69,12 @@ from repro.util.faults import FeedChaos
 __all__ = ["StreamSession", "StreamSessionConfig"]
 
 _DONE = object()
+
+
+def _is_ingest_fault(exc: BaseException) -> bool:
+    """A failure of the incremental path itself (transient or a guard
+    trip) — the only kind that counts against the rebuild breaker."""
+    return isinstance(exc, (StreamError, FaultInjectedError))
 
 
 @dataclass(frozen=True)
@@ -110,9 +119,13 @@ class StreamSession:
     ) -> None:
         self.config = config or StreamSessionConfig()
         self._stream = WindowedSpannerStream(spanner, stream_config)
-        self._ingest_q: queue.Queue = queue.Queue(maxsize=self.config.queue_limit)
+        self._admission = Admission(
+            self.config.queue_limit,
+            shed_metric="stream.backpressure",
+            depth_gauge="stream.queue_depth",
+            unit="chunks",
+        )
         self._results_q: queue.SimpleQueue = queue.SimpleQueue()
-        self._hint = RetryAfterHint()
         self._breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_failures,
             reset_after=self.config.breaker_reset_after,
@@ -122,7 +135,6 @@ class StreamSession:
         self._counts = {
             "windows": 0,
             "overruns": 0,
-            "shed": 0,
             "rebuilds": 0,
             "faults": 0,
             "discarded": 0,
@@ -144,6 +156,7 @@ class StreamSession:
                 return self
             self._running = True
             self._closing = False
+            self._admission.open()
         self._thread = threading.Thread(
             target=self._run, name="stream-eval", daemon=True
         )
@@ -192,23 +205,9 @@ class StreamSession:
         (with a ``retry_after`` drain estimate) when the producer has
         outrun evaluation and the bounded queue is full.
         """
-        if not self._running or self._closing:
+        if self._closing:
             raise ServiceStoppedError("stream session is not accepting chunks")
-        try:
-            self._ingest_q.put_nowait(chunk)
-        except queue.Full:
-            with self._lock:
-                self._counts["shed"] += 1
-            if obs.enabled():
-                obs.metrics().counter("stream.backpressure").inc()
-            hint = self._hint.hint(self._ingest_q.qsize())
-            raise OverloadedError(
-                f"stream ingest queue full ({self.config.queue_limit} chunks); "
-                f"retry after {hint:.3f}s",
-                retry_after=hint,
-            ) from None
-        if obs.enabled():
-            obs.metrics().gauge("stream.queue_depth").set(self._ingest_q.qsize())
+        self._admission.offer(chunk)
 
     # ------------------------------------------------------------------
     # consumer surface
@@ -232,10 +231,11 @@ class StreamSession:
             counts = dict(self._counts)
         return {
             **counts,
+            "shed": self._admission.shed,
             "running": self._running,
-            "queue_depth": self._ingest_q.qsize(),
+            "queue_depth": len(self._admission),
             "queue_limit": self.config.queue_limit,
-            "window_ema_s": self._hint.ema_s,
+            "window_ema_s": self._admission.hint.ema_s,
             "breaker": self._breaker.stats(),
             "stream": self._stream.stats(),
         }
@@ -252,26 +252,23 @@ class StreamSession:
                 chunk = self._carry
                 self._carry = None
                 if chunk is None:
-                    try:
-                        chunk = self._ingest_q.get(timeout=0.02)
-                    except queue.Empty:
+                    chunk = self._admission.take(timeout=0.02)
+                    if chunk is None:
                         if self._closing:
                             break
                         continue
                 try:
                     self._process(chunk)
-                except SpanlibError:
+                except Exception as exc:  # noqa: BLE001 - the thread must outlive one bad window
                     # nothing untyped leaves the session; the window is
-                    # simply lost to accounting and the feed marches on
+                    # lost to accounting, reported, and the feed marches on
                     with self._lock:
                         self._counts["internal_errors"] += 1
-            discarded = 1 if self._carry is not None else 0
-            while True:
-                try:
-                    self._ingest_q.get_nowait()
-                    discarded += 1
-                except queue.Empty:
-                    break
+                    obs.tracer().event("stream.internal_error", error=repr(exc))
+            # closing admission hands back the backlog atomically, so a
+            # chunk fed while the loop wound down is counted, not lost
+            discarded = len(self._admission.close()) + (self._carry is not None)
+            self._carry = None
             if discarded:
                 with self._lock:
                     self._counts["discarded"] += discarded
@@ -302,39 +299,31 @@ class StreamSession:
             attempts += 1
             incremental = self._breaker.allow()
             try:
-                if inject_fault:
-                    inject_fault = False
-                    raise FaultInjectedError(
-                        f"feed chaos: injected fault in window {seq} "
-                        f"(seed {chaos.seed})"
-                    )
-                if incremental:
-                    fresh = stream.ingest(chunk, budget)
-                    self._breaker.record_success()
-                else:
-                    fresh = stream.rebuild(chunk, budget)
-                    rebuilt = True
+                # only the incremental path holds a breaker grant to settle
+                with self._breaker.guard(_is_ingest_fault) if incremental else nullcontext():
+                    if inject_fault:
+                        inject_fault = False
+                        raise FaultInjectedError(
+                            f"feed chaos: injected fault in window {seq} "
+                            f"(seed {chaos.seed})"
+                        )
+                    fresh = (stream.ingest if incremental else stream.rebuild)(chunk, budget)
+                rebuilt = not incremental
                 ingested = True
             except MemoryLimitError as exc:
                 # the rebuild_max_chars / byte guard is permanent for this
                 # document: drop the chunk instead of wedging the feed on it
-                if incremental:
-                    self._breaker.record_success()
                 error = self._overrun(seq, f"ingest refused by byte guard ({exc})", exc)
                 discarded = True
             except EvaluationLimitError as exc:
-                # deadline/step overrun — not the path's fault
-                if incremental:
-                    self._breaker.record_success()
-                    # incremental ingest keeps resumable partial state:
-                    # the chunk IS part of the document now
-                    ingested = True
+                # deadline/step overrun — not the path's fault; incremental
+                # ingest keeps resumable partial state: the chunk IS part
+                # of the document now
+                ingested = incremental
                 error = self._overrun(seq, f"ingest overran its budget ({exc})", exc)
             except (StreamError, FaultInjectedError) as exc:
                 # transient (or guard-tripped) failure: the chunk was
                 # rolled back; retry, letting the breaker reroute
-                if incremental:
-                    self._breaker.record_failure()
                 with self._lock:
                     self._counts["faults"] += 1
                 last_exc = exc
@@ -384,7 +373,7 @@ class StreamSession:
             window_ns=time.perf_counter_ns() - t0,
         )
         record_window_metrics(result)
-        self._hint.observe(result.window_ns / 1e9)
+        self._admission.hint.observe(result.window_ns / 1e9)
         with self._lock:
             self._counts["windows"] += 1
             if error is not None:

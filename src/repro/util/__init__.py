@@ -3,7 +3,6 @@
 from repro.util.budget import Budget, Deadline
 from repro.util.faults import (
     ChaosInjector,
-    ChaosOperation,
     FeedChaos,
     WorkerChaos,
     fail_at_allocation,
@@ -23,7 +22,6 @@ from repro.util.workloads import (
 __all__ = [
     "Budget",
     "ChaosInjector",
-    "ChaosOperation",
     "Deadline",
     "FeedChaos",
     "WorkerChaos",

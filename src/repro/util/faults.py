@@ -20,9 +20,6 @@ non-durable record — is only worth anything if it survives failures at the
   seeded schedule of worker **SIGKILLs and stalls** evaluated *inside*
   :mod:`repro.parallel.procpool` workers, for chaos runs where the
   failure is a dead process rather than a raised exception;
-* :class:`ChaosOperation` — a per-logical-operation view of a
-  :class:`ChaosInjector` schedule, for generator-based (multi-step)
-  operations whose resumed steps must replay the same seeded verdicts;
 * :class:`FeedChaos` — the streaming counterpart: a seeded schedule of
   feed misbehaviour (torn chunks, bursts, stalls, mid-window evaluator
   faults) consumed by :class:`repro.serve.StreamSession` and the
@@ -38,14 +35,18 @@ Determinism contract
 --------------------
 
 Every injection in this module is a pure function of explicit inputs — a
-call counter (:func:`fail_at_call` family) or an explicit integer seed
-(:class:`ChaosInjector`).  There is **no module-level RNG state**: two
-runs with the same seed draw the same fault schedule, so a chaos-test
-failure replays exactly from its seed.  For multi-threaded runs the
-schedule is *concurrency-aware*: the decision for the k-th call at a
-given site is ``f(seed, site, k)`` regardless of which thread makes it,
-so the multiset of injected faults is identical across interleavings even
-though thread schedules are not.
+call counter (:func:`fail_at_call` family) or an explicit integer seed.
+There is **no module-level RNG state**: every seeded schedule
+(:class:`ChaosInjector`, :class:`WorkerChaos`, :class:`FeedChaos`) draws
+from the one function :func:`_schedule_rng`, ``random.Random(f"{seed}:
+{site}:{k}")``, so two runs with the same seed draw the same fault
+schedule and a chaos-test failure replays exactly from its seed.  For
+multi-threaded runs the schedule is *concurrency-aware*: the decision for
+the k-th call at a given site is ``f(seed, site, k)`` regardless of which
+thread makes it, so the multiset of injected faults is identical across
+interleavings even though thread schedules are not.  A multi-step
+operation that must replay its own verdicts whatever else interleaves
+uses a site of its own, e.g. ``f"{site}:{op_id}"``.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from repro.errors import FaultInjectedError
 
 __all__ = [
     "ChaosInjector",
-    "ChaosOperation",
     "FeedChaos",
     "WorkerChaos",
     "fail_at_call",
@@ -72,6 +72,25 @@ __all__ = [
     "truncate_journal_write",
     "truncate_file",
 ]
+
+
+def _schedule_rng(seed: int, site: str, k: int) -> random.Random:
+    """The generator behind the *k*-th draw at *site* of schedule *seed*.
+
+    ``random.Random`` seeded with a string hashes it with SHA-512, so the
+    draw is stable across processes and interpreter runs (unlike
+    ``hash``, which is salted)."""
+    return random.Random(f"{seed}:{site}:{k}")
+
+
+def _verdict(draw: float, *outcomes: tuple[str, float]) -> str | None:
+    """The first outcome whose cumulative rate exceeds *draw*, else None."""
+    bound = 0.0
+    for name, rate in outcomes:
+        bound += rate
+        if draw < bound:
+            return name
+    return None
 
 
 @contextlib.contextmanager
@@ -168,14 +187,12 @@ class ChaosInjector:
     naming an injection point, e.g. ``"preprocess"`` or ``"journal"``) has
     its own call counter; the decision for the k-th call at a site is::
 
-        random.Random(f"{seed}:{site}:{k}").random() < rate
+        _schedule_rng(seed, site, k).random() < rate
 
-    ``random.Random`` seeded with a string hashes it with SHA-512, so the
-    draw is stable across processes and interpreter runs (unlike ``hash``,
-    which is salted).  The per-site counters are incremented under a lock,
-    making the schedule *concurrency-aware*: however threads interleave,
-    the k-th call at a site always gets the same verdict, so a run's fault
-    multiset is a pure function of its seed.
+    The per-site counters are incremented under a lock, making the
+    schedule *concurrency-aware*: however threads interleave, the k-th
+    call at a site always gets the same verdict, so a run's fault multiset
+    is a pure function of its seed.
 
     Use :meth:`maybe_fail` / :meth:`maybe_delay` directly at a call site
     you control, or :meth:`chaos` to monkeypatch one into an existing
@@ -192,32 +209,31 @@ class ChaosInjector:
         with self._lock:
             k = self._calls.get(site, 0)
             self._calls[site] = k + 1
-        return random.Random(f"{self.seed}:{site}:{k}").random()
+        return _schedule_rng(self.seed, site, k).random()
 
-    def _record(self, site: str) -> None:
+    def _fires(self, site: str, rate: float) -> bool:
+        """Take the next position of *site*'s schedule: does it fire?  A
+        zero rate takes no position."""
+        if rate <= 0.0 or self._draw(site) >= rate:
+            return False
         with self._lock:
             self._fired[site] = self._fired.get(site, 0) + 1
+        return True
 
     def maybe_fail(self, site: str, rate: float, error: Exception | None = None) -> None:
         """Raise :class:`~repro.errors.FaultInjectedError` with probability
         *rate* (per the deterministic schedule) at this site."""
-        if rate <= 0.0:
-            return
-        if self._draw(site) < rate:
-            self._record(site)
+        if self._fires(site, rate):
             raise error if error is not None else FaultInjectedError(
                 f"chaos fault at {site!r} (seed {self.seed})"
             )
 
     def maybe_delay(self, site: str, rate: float, seconds: float) -> bool:
         """Sleep *seconds* with probability *rate*; returns whether it slept."""
-        if rate <= 0.0:
-            return False
-        if self._draw(site) < rate:
-            self._record(site)
+        fired = self._fires(site, rate)
+        if fired:
             time.sleep(seconds)
-            return True
-        return False
+        return fired
 
     def fired(self) -> dict[str, int]:
         """Per-site count of faults/delays that actually fired so far."""
@@ -259,80 +275,6 @@ class ChaosInjector:
         finally:
             setattr(target, attribute, original)
 
-    def operation(self, site: str, op_id) -> "ChaosOperation":
-        """A per-logical-operation view of this schedule.
-
-        The shared per-site counter is the right schedule for independent
-        one-shot calls, but it *misbehaves* for generator-based
-        operations: when a consumer resumes (or a retry restarts) a
-        generator, other operations at the same site have advanced the
-        counter in between, so the resumed step draws a *different*
-        verdict than the run it is replaying.  A :class:`ChaosOperation`
-        fixes the schedule to the logical operation instead — the k-th
-        consult is a pure function of ``(seed, site, op_id, k)``,
-        independent of every other operation's interleaving.
-        """
-        return ChaosOperation(self, site, op_id)
-
-
-class ChaosOperation:
-    """Schedule handle for one logical (possibly multi-step) operation.
-
-    Owned by the single generator/loop it was minted for — the step
-    counter is deliberately *not* shared, so it needs no lock and the
-    verdict sequence is replayable: construct (or :meth:`reset`) a handle
-    with the same ``(site, op_id)`` and it yields the same draws in the
-    same order, whatever else the injector scheduled in between.  Fired
-    faults/delays still report into the parent injector's
-    :meth:`ChaosInjector.fired` ledger under ``"site@op_id"``.
-    """
-
-    __slots__ = ("_injector", "site", "op_id", "_steps")
-
-    def __init__(self, injector: ChaosInjector, site: str, op_id) -> None:
-        self._injector = injector
-        self.site = str(site)
-        self.op_id = op_id
-        self._steps = 0
-
-    @property
-    def steps(self) -> int:
-        """Schedule positions this handle has consumed."""
-        return self._steps
-
-    def reset(self) -> None:
-        """Rewind to the first step (a retried operation replays its run)."""
-        self._steps = 0
-
-    def draw(self) -> float:
-        k = self._steps
-        self._steps += 1
-        return random.Random(
-            f"{self._injector.seed}:{self.site}:{self.op_id}:{k}"
-        ).random()
-
-    def maybe_fail(self, rate: float, error: Exception | None = None) -> None:
-        """Raise :class:`~repro.errors.FaultInjectedError` with probability
-        *rate* at this operation's next step."""
-        if rate <= 0.0:
-            return
-        if self.draw() < rate:
-            self._injector._record(f"{self.site}@{self.op_id}")
-            raise error if error is not None else FaultInjectedError(
-                f"chaos fault at {self.site!r} op {self.op_id!r} "
-                f"(seed {self._injector.seed})"
-            )
-
-    def maybe_delay(self, rate: float, seconds: float) -> bool:
-        """Sleep *seconds* with probability *rate*; returns whether it slept."""
-        if rate <= 0.0:
-            return False
-        if self.draw() < rate:
-            self._injector._record(f"{self.site}@{self.op_id}")
-            time.sleep(seconds)
-            return True
-        return False
-
 
 @dataclasses.dataclass(frozen=True)
 class WorkerChaos:
@@ -361,12 +303,11 @@ class WorkerChaos:
 
     def decide(self, task_seq: int) -> str | None:
         """``"kill"``, ``"stall"``, or ``None`` for dispatch *task_seq*."""
-        draw = random.Random(f"{self.seed}:proc-worker:{task_seq}").random()
-        if draw < self.kill_rate:
-            return "kill"
-        if draw < self.kill_rate + self.stall_rate:
-            return "stall"
-        return None
+        return _verdict(
+            _schedule_rng(self.seed, "proc-worker", task_seq).random(),
+            ("kill", self.kill_rate),
+            ("stall", self.stall_rate),
+        )
 
     def apply(self, task_seq: int) -> None:
         """Enact the verdict in the calling (worker) process."""
@@ -412,12 +353,11 @@ class FeedChaos:
 
     def decide(self, window_seq: int) -> str | None:
         """``"fault"``, ``"stall"``, or ``None`` for window *window_seq*."""
-        draw = random.Random(f"{self.seed}:feed-window:{window_seq}").random()
-        if draw < self.fault_rate:
-            return "fault"
-        if draw < self.fault_rate + self.stall_rate:
-            return "stall"
-        return None
+        return _verdict(
+            _schedule_rng(self.seed, "feed-window", window_seq).random(),
+            ("fault", self.fault_rate),
+            ("stall", self.stall_rate),
+        )
 
     def perturb(self, chunks) -> Iterator[str]:
         """Re-chunk *chunks* per the seeded tear/burst schedule.
@@ -427,7 +367,7 @@ class FeedChaos:
         pending = ""
         pending_count = 0
         for index, chunk in enumerate(chunks):
-            rng = random.Random(f"{self.seed}:feed-chunk:{index}")
+            rng = _schedule_rng(self.seed, "feed-chunk", index)
             draw = rng.random()
             if draw < self.burst_rate and pending_count + 1 < self.max_burst:
                 pending += chunk

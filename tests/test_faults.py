@@ -345,82 +345,45 @@ class TestChaosInjectorDeterminism:
         assert alone_draws == interleaved
 
 
-class TestChaosOperationDeterminism:
-    """Satellite: per-operation schedules are stable under interleaving.
+class TestOneSeededDraw:
+    """Every seeded schedule — :class:`ChaosInjector`, :class:`WorkerChaos`,
+    :class:`FeedChaos` — draws ``random.Random(f"{seed}:{site}:{k}")``, so
+    a schedule is a pure function of its seed and replays bit-for-bit."""
 
-    The shared per-site counter makes the k-th *site* call deterministic,
-    but a resumed generator's k-th step is not the site's k-th call once
-    other operations interleave — :meth:`ChaosInjector.operation` fixes
-    the schedule to the logical operation instead."""
+    def test_every_schedule_draws_the_documented_formula(self):
+        import random
 
-    @staticmethod
-    def verdicts(handle, n=16, rate=0.5):
-        out = []
-        for _ in range(n):
-            try:
-                handle.maybe_fail(rate)
-                out.append(False)
-            except FaultInjectedError:
-                out.append(True)
-        return out
+        from repro.util import ChaosInjector, FeedChaos, WorkerChaos
 
-    def test_schedule_is_fixed_per_operation_id(self):
-        from repro.util import ChaosInjector
+        def draw(site, k):
+            return random.Random(f"5:{site}:{k}").random()
 
-        handle = ChaosInjector(5).operation("enum", "op-1")
-        solo = [handle.draw() for _ in range(8)]
+        injector = ChaosInjector(5)
+        assert [injector.maybe_delay("enum", 0.5, 0.0) for _ in range(32)] == [
+            draw("enum", k) < 0.5 for k in range(32)
+        ]
+        worker = WorkerChaos(seed=5, kill_rate=0.2, stall_rate=0.3)
+        feed = FeedChaos(seed=5, fault_rate=0.2, stall_rate=0.3)
+        for k in range(64):
+            w, f = draw("proc-worker", k), draw("feed-window", k)
+            assert worker.decide(k) == ("kill" if w < 0.2 else "stall" if w < 0.5 else None)
+            assert feed.decide(k) == ("fault" if f < 0.2 else "stall" if f < 0.5 else None)
 
-        # a busy injector: another operation and raw site traffic
-        # interleave with every step — the op-1 schedule must not move
-        busy = ChaosInjector(5)
-        noisy = busy.operation("enum", "op-2")
-        replay = busy.operation("enum", "op-1")
-        interleaved = []
-        for _ in range(8):
-            noisy.draw()
-            busy.maybe_delay("enum", 1.0, 0.0)  # advances the site counter
-            interleaved.append(replay.draw())
-        assert interleaved == solo
+    def test_operation_site_replays_whatever_interleaves(self):
+        """A multi-step operation gets a fixed schedule from a site of its
+        own, ``f"{site}:{op_id}"``: other operations and raw site traffic
+        interleaving with its steps cannot move its verdicts."""
+        import random
 
-    def test_reset_replays_the_same_verdict_sequence(self):
-        from repro.util import ChaosInjector
-
-        injector = ChaosInjector(3)
-        op = injector.operation("enum", 7)
-        first = self.verdicts(op)
-        assert op.steps == 16
-        op.reset()
-        assert op.steps == 0
-        assert self.verdicts(op) == first
-        # fired faults report into the parent ledger under site@op_id
-        if any(first):
-            assert injector.fired().get("enum@7", 0) >= 1
-
-    def test_shared_site_counter_drifts_where_operation_does_not(self):
-        """The motivating contrast: the same logical 8-step run drawn
-        through the *site* schedule changes verdicts once another thread
-        of calls interleaves; through the operation schedule it cannot."""
         from repro.util import ChaosInjector
 
         alone = ChaosInjector(11)
-        site_solo = [alone.maybe_delay("s", 0.5, 0.0) for _ in range(8)]
+        solo = [alone.maybe_delay("s:g", 0.5, 0.0) for _ in range(16)]
         busy = ChaosInjector(11)
-        site_interleaved = []
-        for _ in range(8):
-            busy.maybe_delay("s", 0.5, 0.0)  # someone else's call
-            site_interleaved.append(busy.maybe_delay("s", 0.5, 0.0))
-        assert site_interleaved != site_solo  # the drift ChaosOperation fixes
-
-        op_solo = self.verdicts(ChaosInjector(11).operation("s", "g"))
-        busy2 = ChaosInjector(11)
-        noisy = busy2.operation("s", "other")
-        handle = busy2.operation("s", "g")
-        op_interleaved = []
+        interleaved = []
         for _ in range(16):
-            noisy.draw()
-            try:
-                handle.maybe_fail(0.5)
-                op_interleaved.append(False)
-            except FaultInjectedError:
-                op_interleaved.append(True)
-        assert op_interleaved == op_solo
+            busy.maybe_delay("s:other", 0.5, 0.0)
+            busy.maybe_delay("s", 0.5, 0.0)
+            interleaved.append(busy.maybe_delay("s:g", 0.5, 0.0))
+        assert interleaved == solo
+        assert solo == [random.Random(f"11:s:g:{k}").random() < 0.5 for k in range(16)]

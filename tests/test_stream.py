@@ -409,6 +409,30 @@ class TestStreamSession:
         second = session.close()
         assert not first["running"] and not second["running"]
 
+    def test_untyped_window_error_is_counted_and_the_feed_goes_on(self, monkeypatch):
+        # one untyped error inside a window must not kill the evaluation
+        # thread: later chunks still produce windows, and every fed chunk
+        # is accounted for as a window, an internal error, or a discard
+        original = WindowedSpannerStream.ingest
+        calls = {"n": 0}
+
+        def ingest_failing_once(stream, chunk, budget=None):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise RuntimeError("untyped bug in one window")
+            return original(stream, chunk, budget)
+
+        monkeypatch.setattr(WindowedSpannerStream, "ingest", ingest_failing_once)
+        chunks = ["ab", "babb", "aab"]
+        session = StreamSession(PATTERN)
+        results, stats = drive(session, chunks)
+        assert stats["internal_errors"] == 1
+        assert [result.chunk_chars for result in results] == [4, 3]
+        assert stats["windows"] + stats["internal_errors"] + stats["discarded"] == len(chunks)
+        text = "".join(chunks[1:])
+        replay(results, pattern=PATTERN, text=text)
+        assert {str(t) for t in session.frontier()} == one_shot(PATTERN, text)
+
     def test_fault_opens_breaker_and_rebuild_path_heals(self):
         # windows 0..: seed chosen so faults fire; breaker_failures=1
         # reroutes the retry through rebuild, which must stay correct
