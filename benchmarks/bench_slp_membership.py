@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.kernels import reference_mm, unpack_rows
+from repro.kernels import unpack_rows
 from repro.regex import compile_nfa
 from repro.slp import (
     SLP,
@@ -43,9 +43,14 @@ def _record_corpus() -> str:
     )
 
 
+def reference_mm(a, b):
+    """The seed boolean product: float32 matmul with per-use conversions."""
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0.5
+
+
 def _reference_node_matrix(nfa, slp, node, char_mats):
     """The seed algorithm verbatim: one float32 product per fresh pair node,
-    bool→float32 conversions on every use (see kernels.reference_mm)."""
+    bool→float32 conversions on every use (see :func:`reference_mm`)."""
     memo = {}
     for current in slp.topological(node):
         if current in memo:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.enumeration import Enumerator, measure_delays
-from repro.kernels import reference_compose_pure, reference_mm, unpack_rows
+from repro.kernels import unpack_rows
 from repro.regex import spanner_from_regex
 from repro.slp import SLP, SLPSpannerEvaluator, balanced_node, power_node
 
@@ -27,6 +27,19 @@ PATTERN = "(a|b)*!x{abb}(a|b)*"
 UNIT = "abbab"
 
 _DEAD = -1
+
+
+def reference_mm(a, b):
+    """The seed boolean product: float32 matmul with per-use conversions."""
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0.5
+
+
+def reference_compose_pure(sigma, matrix):
+    """The seed σ-composition on bool matrices (dead rows zeroed)."""
+    gathered = matrix[np.where(sigma == _DEAD, 0, sigma)]
+    gathered[sigma == _DEAD] = False
+    return gathered
+
 
 # record corpus for the packed-kernel lanes: see bench_slp_membership
 _RECORD_FIXED = "abbabbaabbabaabbbaabababbaababbabaabbbabbaabbaabbaababbabababba"[:60]

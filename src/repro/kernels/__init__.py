@@ -8,12 +8,11 @@ the dependency-light layer those matrices live on:
 * :mod:`repro.kernels.bitmat` — |Q|×|Q| boolean matrices packed into
   uint64 bit-words (:class:`BitMatrix`), continuation vectors packed the
   same way (:class:`PackedVec`), and the primitives every consumer is
-  wired onto: boolean matrix product (:func:`bool_mm`), the wave-batched,
-  duplicate-collapsing product (:func:`bool_mm_many`), packed mat-vec
-  (:func:`matvec`), row selection through a pure transition function
-  (:func:`compose_rows`), and σ-scatter (:func:`function_bits`).  The
-  seed float32 product is retained as :func:`reference_mm` so packed
-  results stay differentially testable against it.
+  wired onto: the one product over packed row stacks (:func:`mm_rows`)
+  behind the boolean matrix product (:func:`bool_mm`) and the
+  wave-batched, duplicate-collapsing product (:func:`bool_mm_many`), the
+  one ``(σ, T, T_em)`` combine (:func:`combine_rows`), packed mat-vec
+  (:func:`matvec`), and σ-scatter (:func:`function_bits`).
 * :mod:`repro.kernels.plan` — a bounded, thread-safe LRU cache from
   spanner source text to its compiled plan (deterministic eVA + shared
   evaluator), with byte accounting through :class:`repro.util.Budget`
@@ -28,16 +27,15 @@ from repro.kernels.bitmat import (
     PackedVec,
     bool_mm,
     bool_mm_many,
-    compose_rows,
+    combine_rows,
     function_bits,
     function_bits_many,
     intern_many,
     intern_matrix,
     matvec,
+    mm_rows,
     pack_rows,
     pack_vec,
-    reference_compose_pure,
-    reference_mm,
     unpack_rows,
     unpack_vec,
     words_for,
@@ -56,18 +54,17 @@ __all__ = [
     "PlanCache",
     "bool_mm",
     "bool_mm_many",
-    "compose_rows",
+    "combine_rows",
     "configure_plan_cache",
     "function_bits",
     "function_bits_many",
     "intern_many",
     "intern_matrix",
     "matvec",
+    "mm_rows",
     "pack_rows",
     "pack_vec",
     "plan_cache",
-    "reference_compose_pure",
-    "reference_mm",
     "unpack_rows",
     "unpack_vec",
     "words_for",

@@ -1,45 +1,37 @@
 """Packed-bitset boolean matrices: the evaluation kernels.
 
 A |Q|×|Q| boolean reachability matrix is stored as ``ceil(Q/64)`` uint64
-words per row (``numpy.packbits`` layout, little bit order): 8× smaller
-than the seed's bool arrays and 32× smaller than their transient float32
-forms, and row-level operations (mat-vec against a continuation vector,
-row gather through a pure transition function, union, single-bit scatter)
-become a handful of word-wide numpy operations with **zero dtype
+words per row (``numpy.packbits`` layout, little bit order) and nothing
+else: a :class:`BitMatrix` is its packed rows and its column count.  Row
+operations — mat-vec against a continuation vector, union, single-bit
+σ-scatter — are a handful of word-wide numpy operations with **zero dtype
 conversions on the enumeration hot path**.
 
-Products still go through BLAS — a float32 matmul is exact for 0/1
-matrices with |Q| < 2²⁴ and is the fastest primitive numpy exposes — but
-the kernels change *how much* of it runs:
+Products go through BLAS in exactly one place, :func:`mm_rows`: a stack
+of packed operand pairs is unpacked, multiplied with one float32 matmul
+(exact for 0/1 matrices with |Q| < 2²⁴), clamped and packed again.  No
+dense form outlives the call, so there is no mirror to keep warm or to
+drop.  Around it:
 
-* operands keep a cached float32 mirror (:meth:`BitMatrix.f32`), so a
-  matrix is converted at most once per preprocessing pass instead of once
-  per product it participates in (the seed converted both operands on
-  every multiply);
 * :func:`bool_mm_many` multiplies a whole *wave* of independent SLP nodes
-  in one batched ``np.matmul`` after collapsing duplicate operand pairs —
+  in one :func:`mm_rows` call after collapsing duplicate operand pairs —
   on repetitive documents (the reason SLPs exist) most of a wave's
   products are verbatim repeats of each other and are computed once;
-* the result is clamped in place and packed in one batched ``packbits``,
-  so downstream nodes start from warm operands.
+* :func:`combine_rows` is the one ``(σ, T, T_em)`` combine: the SLP wave
+  (:mod:`repro.slp.spanner_eval`) and the shard fold
+  (:mod:`repro.parallel.fold`) both call it, which is why their entries
+  agree bit for bit.
 
 Duplicate collapsing is a two-tier scheme.  Within a wave, operand pairs
 are grouped by *object identity* — a dict lookup per pair, no hashing of
 matrix content on the hot path.  Identity grouping alone would miss
 equal-content matrices produced by different subtrees, so every distinct
-result can be pushed through an *intern pool* (the ``intern`` argument):
-results are fingerprinted with a multiply-fold and looked up in the
-pool, and an exact word-for-word comparison decides whether to reuse the
-pooled object.  Because SLP waves are processed level by level, interning
-a result at level ``k`` canonicalises it before any level ``k+1`` pair
-references it — so identity grouping downstream captures exactly the
-duplicates content hashing would, at a fraction of the cost.  The
-fingerprint is never trusted: a collision lands both matrices in the
-same bucket, and the exact comparison keeps them distinct.
-
-:func:`reference_mm` / :func:`reference_compose_pure` retain the seed
-float32 semantics verbatim; the differential test suite and the
-before/after benchmark rows are built on them.
+result can be pushed through an *intern pool* (the ``intern`` argument)
+keyed by exact content ``(rows.shape, rows.tobytes())``.  Because SLP
+waves are processed level by level, interning a result at level ``k``
+canonicalises it before any level ``k+1`` pair references it — so
+identity grouping downstream captures exactly the duplicates content
+hashing would.
 """
 
 from __future__ import annotations
@@ -53,23 +45,21 @@ __all__ = [
     "PackedVec",
     "bool_mm",
     "bool_mm_many",
-    "compose_rows",
+    "combine_rows",
     "function_bits",
     "function_bits_many",
     "intern_many",
     "intern_matrix",
     "matvec",
+    "mm_rows",
     "pack_rows",
     "pack_vec",
-    "reference_compose_pure",
-    "reference_mm",
     "unpack_rows",
     "unpack_vec",
     "words_for",
 ]
 
 WORD_BITS = 64
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 # Above this |Q|, numpy's stacked (3-D) matmul stops beating a python
 # loop of 2-D BLAS GEMMs (measured crossover ≈ 128–160 on this class of
 # hardware), and the batch's float32 working set starts to thrash cache.
@@ -95,15 +85,19 @@ def pack_rows(bools: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(packed8).view(np.uint64)
 
 
-def unpack_rows(packed: np.ndarray, q: int) -> np.ndarray:
-    """Inverse of :func:`pack_rows`: (..., w) uint64 back to (..., q) bool."""
-    bits = np.unpackbits(
+def _unpack_bits(packed: np.ndarray, q: int) -> np.ndarray:
+    """(..., w) uint64 words to (..., q) uint8 0/1 values."""
+    return np.unpackbits(
         np.ascontiguousarray(packed).view(np.uint8),
         axis=-1,
         count=q,
         bitorder="little",
     )
-    return bits.astype(bool)
+
+
+def unpack_rows(packed: np.ndarray, q: int) -> np.ndarray:
+    """Inverse of :func:`pack_rows`: (..., w) uint64 back to (..., q) bool."""
+    return _unpack_bits(packed, q).astype(bool)
 
 
 def pack_vec(bools: np.ndarray) -> np.ndarray:
@@ -118,31 +112,22 @@ def unpack_vec(words: np.ndarray, q: int) -> np.ndarray:
 class BitMatrix:
     """An n×q boolean matrix held as packed uint64 rows.
 
-    ``rows`` — shape (n, words_for(q)) — is the canonical representation;
-    a float32 mirror (for BLAS products) and a bool mirror are derived on
-    demand and cached until :meth:`release_dense` drops them.  Instances
-    are treated as immutable once built; sharing one object between
-    duplicate wave entries or cache hits is always safe.
+    ``rows`` — shape (n, words_for(q)) — is the only representation;
+    :meth:`to_bool` unpacks a fresh copy on demand.  Instances are
+    treated as immutable once built; sharing one object between duplicate
+    wave entries or cache hits is always safe.
     """
 
-    __slots__ = ("q", "rows", "_f32", "_bools")
+    __slots__ = ("q", "rows")
 
-    def __init__(
-        self,
-        rows: np.ndarray,
-        q: int,
-        f32: np.ndarray | None = None,
-        bools: np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, rows: np.ndarray, q: int) -> None:
         self.q = int(q)
         self.rows = rows
-        self._f32 = f32
-        self._bools = bools
 
     @classmethod
     def from_bool(cls, matrix: np.ndarray) -> "BitMatrix":
         matrix = np.asarray(matrix, dtype=bool)
-        return cls(pack_rows(matrix), matrix.shape[-1], bools=matrix)
+        return cls(pack_rows(matrix), matrix.shape[-1])
 
     @property
     def n(self) -> int:
@@ -150,29 +135,11 @@ class BitMatrix:
 
     @property
     def nbytes(self) -> int:
-        """Resident footprint (packed words plus any cached dense mirror)."""
-        total = self.rows.nbytes
-        if self._f32 is not None:
-            total += self._f32.nbytes
-        if self._bools is not None:
-            total += self._bools.nbytes
-        return total
+        """Resident footprint: the packed words."""
+        return self.rows.nbytes
 
     def to_bool(self) -> np.ndarray:
-        if self._bools is None:
-            self._bools = unpack_rows(self.rows, self.q)
-        return self._bools
-
-    def f32(self) -> np.ndarray:
-        """The cached float32 0/1 mirror (exact for counting products)."""
-        if self._f32 is None:
-            self._f32 = self.to_bool().astype(np.float32)
-        return self._f32
-
-    def release_dense(self) -> None:
-        """Drop the dense mirrors; the packed rows stay authoritative."""
-        self._f32 = None
-        self._bools = None
+        return unpack_rows(self.rows, self.q)
 
     def row_and_any(self, row: int, words: np.ndarray) -> bool:
         """``(self[row] & v).any()`` without unpacking anything."""
@@ -211,80 +178,54 @@ class PackedVec:
 
 
 # ----------------------------------------------------------------------
-# products
+# products and the (σ, T, T_em) combine
 # ----------------------------------------------------------------------
-def _clamped(product32: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clamp a float32 counting product to exact 0/1 in place."""
-    np.minimum(product32, 1.0, out=product32)
-    return product32, product32 != 0
+def mm_rows(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """Boolean products ``a[k] @ b[k]`` of two packed row stacks.
+
+    *a* is (m, n, ·) and *b* is (m, k, words_for(q)) uint64, with k the
+    inner dimension; the result is (m, n, words_for(q)).  Both stacks are
+    unpacked, multiplied as float32 counts (exact for 0/1 operands),
+    clamped to 0/1 and packed — every packed product runs through here."""
+    a32 = _unpack_bits(a, b.shape[-2]).astype(np.float32)
+    b32 = _unpack_bits(b, q).astype(np.float32)
+    if len(a32) > 1 and q <= _BATCH_MM_MAX_Q:
+        counts = np.matmul(a32, b32)
+    else:
+        # Above the crossover, per-slice 2-D products hit the tuned BLAS
+        # GEMM path (numpy's stacked matmul does not); clamping and
+        # packing still happen once for the whole stack below.
+        counts = np.empty(a32.shape[:-1] + (q,), dtype=np.float32)
+        for k in range(len(a32)):
+            np.matmul(a32[k], b32[k], out=counts[k])
+    return pack_rows(counts > 0)
 
 
 def bool_mm(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Boolean matrix product ``a @ b`` (exact; result carries warm mirrors)."""
+    """Boolean matrix product ``a @ b`` (exact)."""
     if obs.enabled():
         obs.metrics().counter("kernels.mm").inc()
-    c32, cb = _clamped(a.f32() @ b.f32())
-    return BitMatrix(pack_rows(cb), b.q, f32=c32, bools=cb)
+    return BitMatrix(mm_rows(a.rows[None], b.rows[None], b.q)[0], b.q)
 
 
-def _fold_keys(stack: np.ndarray) -> np.ndarray:
-    """One uint64 fingerprint per matrix of a (m, n, w) packed stack."""
-    m = stack.shape[0]
-    flat = stack.reshape(m, -1)
-    mult = (
-        np.arange(flat.shape[1], dtype=np.uint64) * np.uint64(2) + np.uint64(1)
-    ) * _GOLDEN
-    with np.errstate(over="ignore"):
-        return (flat * mult).sum(axis=1, dtype=np.uint64)
+def intern_matrix(pool: dict, matrix: BitMatrix) -> BitMatrix:
+    """Canonicalise *matrix* against *pool* by exact content.
 
-
-def intern_matrix(pool: dict, matrix: BitMatrix, key: int | None = None) -> BitMatrix:
-    """Canonicalise *matrix* against *pool* (fingerprint → exact verify).
-
-    Returns the pooled object when one with identical packed content
-    exists, otherwise registers *matrix* and returns it.  Fingerprint
-    collisions are harmless: colliding matrices share a bucket and the
-    word-for-word comparison keeps unequal ones apart.  Callers holding
-    a whole wave can pass precomputed *key* values from one batched
-    :func:`_fold_keys` call instead of folding one matrix at a time.
-    """
-    if key is None:
-        key = int(_fold_keys(matrix.rows[None])[0])
-    slot = (key, matrix.rows.shape)
-    bucket = pool.get(slot)
-    if bucket is None:
-        pool[slot] = [(matrix.rows.tobytes(), matrix)]
-        return matrix
-    payload = matrix.rows.tobytes()
-    for prior_payload, prior in bucket:
-        if prior_payload == payload:
-            return prior
-    bucket.append((payload, matrix))
-    return matrix
+    Returns the pooled object whose packed rows equal *matrix*'s (same
+    shape, same words), otherwise registers *matrix* and returns it."""
+    return pool.setdefault((matrix.rows.shape, matrix.rows.tobytes()), matrix)
 
 
 def intern_many(pool: dict, matrices: list[BitMatrix]) -> list[BitMatrix]:
-    """Canonicalise a batch of matrices with one fingerprint pass.
-
-    Equivalent to :func:`intern_matrix` per element but folds the whole
-    stack at once; used by consumers that derive per-node matrices from a
-    wave (e.g. ``T = T_em ∪ σ``) and want them deduplicated before they
-    become operands of the next wave.
-    """
-    if not matrices:
-        return matrices
-    keys = _fold_keys(np.stack([m.rows for m in matrices]))
-    return [
-        intern_matrix(pool, matrix, key=int(keys[k]))
-        for k, matrix in enumerate(matrices)
-    ]
+    """:func:`intern_matrix` over a batch, in order."""
+    return [intern_matrix(pool, matrix) for matrix in matrices]
 
 
 def bool_mm_many(
     pairs: list[tuple[BitMatrix, BitMatrix]],
     intern: dict | None = None,
 ) -> list[BitMatrix]:
-    """Product of every (A, B) pair — one batched BLAS call per wave.
+    """Product of every (A, B) pair — one :func:`mm_rows` call per wave.
 
     Pairs whose operands are the *same objects* are computed once and
     share one result.  With an ``intern`` pool (a plain dict the caller
@@ -313,46 +254,56 @@ def bool_mm_many(
         registry.counter("kernels.mm").inc(d)
         registry.counter("kernels.mm_collapsed").inc(m - d)
     q = distinct[0][1].q
-    if d > 1 and q <= _BATCH_MM_MAX_Q:
-        a32 = np.stack([a.f32() for a, _ in distinct])
-        b32 = np.stack([b.f32() for _, b in distinct])
-        c32 = np.matmul(a32, b32)
-    else:
-        # Above the crossover, per-slice 2-D products hit the tuned BLAS
-        # GEMM path (numpy's stacked matmul does not); clamping, packing
-        # and fingerprinting still happen once for the whole wave below.
-        c32 = np.empty((d, q, q), dtype=np.float32)
-        for k, (a, b) in enumerate(distinct):
-            c32[k] = a.f32() @ b.f32()
-    c32, cb = _clamped(c32)
-    packed = pack_rows(cb)
-    results = [
-        BitMatrix(packed[k], q, f32=c32[k], bools=cb[k]) for k in range(d)
-    ]
+    rows = mm_rows(
+        np.stack([a.rows for a, _ in distinct]),
+        np.stack([b.rows for _, b in distinct]),
+        q,
+    )
+    results = [BitMatrix(rows[k], q) for k in range(d)]
     if intern is not None:
-        keys = _fold_keys(packed)
-        interned = 0
-        for k in range(d):
-            canonical = intern_matrix(intern, results[k], key=int(keys[k]))
-            if canonical is not results[k]:
-                results[k] = canonical
-                interned += 1
+        fresh = results
+        results = intern_many(intern, fresh)
+        interned = sum(a is not b for a, b in zip(results, fresh))
         if interned and obs.enabled():
             obs.metrics().counter("kernels.mm_interned").inc(interned)
     return [results[g] for g in inverse]
 
 
+def combine_rows(
+    sig_l: np.ndarray,
+    sig_r: np.ndarray,
+    t_em_r: np.ndarray,
+    product: np.ndarray,
+    q: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(σ, T, T_em)`` entries of a batch of pairs (L, R).
+
+    *sig_l*, *sig_r* are (m, q) int64 partial functions (-1, the dead
+    state, absorbs), *t_em_r* is R's T_em row stack (m, q, w) and
+    *product* the rows of ``T_em_L · T_R`` (from :func:`mm_rows` or
+    :func:`bool_mm_many`).
+    Returns ``(σ, T rows, T_em rows)`` with
+
+    * ``σ = σ_R ∘ σ_L``;
+    * ``T_em = T_em_L · T_R ∪ σ_L-pull(T_em_R)`` — the first emission is
+      in L, or L runs pure and the first emission is in R;
+    * ``T = T_em ∪ σ`` — a run either emits or is exactly the pure run,
+      which saves the second matrix product.
+
+    Every step is exact, so the combine is associative bit for bit: any
+    parenthesisation of the same document packs to identical words."""
+    dead_l = sig_l == -1
+    index = np.where(dead_l, 0, sig_l)
+    sigma = np.where(dead_l, -1, np.take_along_axis(sig_r, index, axis=1))
+    pulled = np.take_along_axis(t_em_r, index[:, :, None], axis=1)
+    pulled[dead_l] = 0
+    t_em = product | pulled
+    return sigma, t_em | function_bits_many(sigma, q), t_em
+
+
 def matvec(a: BitMatrix, vec: PackedVec) -> PackedVec:
     """Boolean ``a @ vec``: which rows of *a* intersect the set *vec*."""
     return PackedVec((a.rows & vec.words).any(axis=1))
-
-
-def compose_rows(sigma: np.ndarray, matrix: BitMatrix, dead: int = -1) -> BitMatrix:
-    """Rows of *matrix* pulled through the partial function σ (dead → 0-row)."""
-    invalid = sigma == dead
-    gathered = matrix.rows[np.where(invalid, 0, sigma)]
-    gathered[invalid] = 0
-    return BitMatrix(gathered, matrix.q)
 
 
 def function_bits(sigma: np.ndarray, q: int, dead: int = -1) -> BitMatrix:
@@ -378,20 +329,3 @@ def function_bits_many(sigmas: np.ndarray, q: int, dead: int = -1) -> np.ndarray
         targets % WORD_BITS
     ).astype(np.uint64)
     return rows
-
-
-# ----------------------------------------------------------------------
-# the retained seed implementation (differential anchor)
-# ----------------------------------------------------------------------
-def reference_mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The seed boolean product: float32 matmul with per-use conversions."""
-    return (a.astype(np.float32) @ b.astype(np.float32)) > 0.5
-
-
-def reference_compose_pure(
-    sigma: np.ndarray, matrix: np.ndarray, dead: int = -1
-) -> np.ndarray:
-    """The seed σ-composition on bool matrices (dead rows zeroed)."""
-    gathered = matrix[np.where(sigma == dead, 0, sigma)]
-    gathered[sigma == dead] = False
-    return gathered

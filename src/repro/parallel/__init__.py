@@ -6,10 +6,11 @@ evaluation a textbook map-reduce: split the document into shards, fold
 each shard's per-character entries on a worker, fold the shard entries.
 This package provides
 
-* the exact, batched fold kernel (:mod:`repro.parallel.fold`) whose
-  per-level numpy operations release the GIL — thread workers give real
-  wall-clock speedup (≥ 2× at 4 workers on ≥ 256 KiB documents, asserted
-  by ``benchmarks/bench_parallel.py``);
+* the exact, batched fold kernel (:mod:`repro.parallel.fold`), which
+  advances a whole reduction level per numpy call (thread workers are
+  not reliably faster than serial: 0.63× on 256 KiB on a 2-core host;
+  ``benchmarks/bench_parallel.py`` asserts ≥ 2× at 4 workers only where
+  4 cores are usable);
 * the worker-pool backends (:mod:`repro.parallel.pool`): ``"thread"``
   for production in one address space, ``"process"`` for crash-isolated
   evaluation on the supervised pool of :mod:`repro.parallel.procpool`
@@ -43,7 +44,6 @@ from repro.parallel.api import (
 )
 from repro.parallel.fold import (
     DEFAULT_CHUNK,
-    char_stack,
     combine,
     fold_entries,
     identity_entry,
@@ -83,7 +83,6 @@ __all__ = [
     "ShmArray",
     "as_evaluator",
     "attached_job",
-    "char_stack",
     "combine",
     "configure_pool",
     "default_workers",

@@ -11,27 +11,31 @@ an SLP's parse tree:
   emission is in the right part),
 * ``T = T_em ∪ σ`` (a run either emits or is exactly the pure run).
 
-Every operation is an **exact** boolean/integer computation (the float32
-products are exact for 0/1 operands with |Q| < 2²⁴), so the combine is
-associative *bit-for-bit*: any parenthesisation — the SLP's parse tree,
-this module's balanced pairwise reduction, or a k-way shard split — packs
-to identical words.  That is what lets :mod:`repro.parallel` split a
-document into shards, fold each shard on its own worker, and fold the
-shard entries on the caller's thread, with equality to the serial result
-asserted (not hoped for) by the differential test suite.
+The combine itself is :func:`repro.kernels.bitmat.combine_rows` — the
+same function the SLP wave calls — and its one product runs through
+:func:`repro.kernels.bitmat.mm_rows`.  Every operation is an **exact**
+boolean/integer computation (the float32 products are exact for 0/1
+operands with |Q| < 2²⁴), so the combine is associative *bit-for-bit*:
+any parenthesisation — the SLP's parse tree, this module's balanced
+pairwise reduction, or a k-way shard split — packs to identical words.
+That is what lets :mod:`repro.parallel` split a document into shards,
+fold each shard on its own worker, and fold the shard entries on the
+caller's thread, with equality to the serial result asserted (not hoped
+for) by the differential test suite, and what lets the stream guard
+compare an SLP root entry against a raw-feed fold.
 
 Unlike ``preprocess`` — whose per-node Python loop is the right shape for
-a *dedup-friendly* SLP DAG — the fold here is written so that worker
-threads actually run concurrently under the GIL: a whole reduction level
-is advanced with a handful of *batched* numpy operations (stacked
-float32 matmul, ``take_along_axis`` gathers, word-wise unions) on
-``(m, q, ·)`` arrays, with no per-entry Python objects anywhere inside a
-shard.  The heavy operations release the GIL, so k thread workers give
-real speedup (benchmarks/bench_parallel.py asserts ≥ 2× at 4 workers on
-≥ 256 KiB documents).  The price is that no duplicate-product collapsing
-happens inside a shard — O(n·|Q|³) arithmetic instead of the SLP path's
-O(|S|·|Q|³) — which is why the compressed path still wins on repetitive
-documents (see ``docs/PERFORMANCE.md``).
+a *dedup-friendly* SLP DAG — a whole reduction level here is advanced
+with a handful of *batched* numpy operations (stacked float32 matmul,
+``take_along_axis`` gathers, word-wise unions) on ``(m, q, ·)`` arrays,
+with no per-entry Python objects anywhere inside a shard.  The batching
+is what pays (≥ 2× over a scalar per-character fold, in practice ~20×,
+``benchmarks/bench_parallel.py``).  Thread workers do *not* reliably add
+speed on top: a 256 KiB fold with thread workers measured 0.63× of
+serial on a 2-core host (see ROADMAP.md).  No duplicate-product
+collapsing happens inside a shard — O(n·|Q|³) arithmetic instead of the
+SLP path's O(|S|·|Q|³) — which is why the compressed path still wins on
+repetitive documents (see ``docs/PERFORMANCE.md``).
 
 Memory is bounded by folding in *chunks*: each chunk of ``chunk_size``
 characters is reduced to a single entry before the next chunk is touched,
@@ -45,16 +49,14 @@ import numpy as np
 
 from repro.kernels.bitmat import (
     BitMatrix,
+    combine_rows,
     function_bits,
-    function_bits_many,
-    pack_rows,
-    unpack_rows,
+    mm_rows,
     words_for,
 )
 
 __all__ = [
     "DEFAULT_CHUNK",
-    "char_stack",
     "combine",
     "fold_entries",
     "identity_entry",
@@ -104,23 +106,6 @@ def shard_spans(n: int, shards: int) -> list[tuple[int, int]]:
     return spans
 
 
-def char_stack(table, text: str, q: int):
-    """The per-character entry stack of *text* as batched arrays.
-
-    *table* maps every distinct character of *text* to its ``(σ, T,
-    T_em)`` entry (prefetch via
-    :meth:`repro.slp.SLPSpannerEvaluator.char_entries` so workers never
-    touch the locked char-table store).  Character codes are extracted
-    with one UTF-32 encode and deduplicated with ``np.unique`` — no
-    per-position Python loop."""
-    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-    distinct, inverse = np.unique(codes, return_inverse=True)
-    sigmas = np.stack([table[chr(code)][0] for code in distinct])
-    t_rows = np.stack([table[chr(code)][1].rows for code in distinct])
-    t_em_rows = np.stack([table[chr(code)][2].rows for code in distinct])
-    return sigmas[inverse], t_rows[inverse], t_em_rows[inverse]
-
-
 def table_stack(table, chars):
     """The distinct-character entry stack of *table*, in *chars* order.
 
@@ -141,13 +126,13 @@ def indexed_entry(
     stack, inverse, q: int, *, chunk_size: int = DEFAULT_CHUNK, budget=None
 ):
     """``(σ, T, T_em)`` of the text whose position *i* has table row
-    ``inverse[i]`` — :func:`text_entry` for pre-indexed array input.
+    ``inverse[i]``: chunked balanced reduction.
 
-    The chunking, reduction order, and arithmetic are identical to
-    :func:`text_entry` (each gathered chunk stack holds the same values
-    ``char_stack`` would build), so the folded entry is bit-for-bit the
-    same — that equality is what makes the process backend differentially
-    testable against the serial one."""
+    Each ``chunk_size`` block of positions is gathered and reduced fully
+    before the next is touched, then the per-chunk entries are folded —
+    the value is independent of *chunk_size* (associativity), only the
+    peak working set changes.  :func:`text_entry` and the process
+    backend's workers both fold through here."""
     sigmas, t_rows, t_em_rows = stack
     inverse = np.asarray(inverse)
     if inverse.size == 0:
@@ -170,24 +155,14 @@ def _combine_level(sigmas, t_rows, t_em_rows, q: int):
     An odd trailing entry is carried up unchanged — associativity makes
     the resulting parenthesisation irrelevant to the folded value."""
     m = sigmas.shape[0]
-    k = m // 2
-    sig_l, sig_r = sigmas[0 : 2 * k : 2], sigmas[1 : 2 * k : 2]
-    # T_em_L · T_R through the exact float32 counting product, then one
-    # batched repack; this matmul is where workers spend their time, and
-    # it runs with the GIL released
-    a32 = unpack_rows(t_em_rows[0 : 2 * k : 2], q).astype(np.float32)
-    b32 = unpack_rows(t_rows[1 : 2 * k : 2], q).astype(np.float32)
-    product_rows = pack_rows(np.matmul(a32, b32) > 0.5)
-    # σ composition and the σ_L-pull of T_em_R, dead-state aware
-    dead_l = sig_l == _DEAD
-    index = np.where(dead_l, 0, sig_l)
-    sigma = np.where(dead_l, _DEAD, np.take_along_axis(sig_r, index, axis=1))
-    pulled = np.take_along_axis(
-        t_em_rows[1 : 2 * k : 2], index[:, :, None], axis=1
+    left, right = slice(0, m - 1, 2), slice(1, m, 2)
+    sigma, t_new, t_em_new = combine_rows(
+        sigmas[left],
+        sigmas[right],
+        t_em_rows[right],
+        mm_rows(t_em_rows[left], t_rows[right], q),
+        q,
     )
-    pulled[dead_l] = 0
-    t_em_new = product_rows | pulled
-    t_new = t_em_new | function_bits_many(sigma, q)
     if m % 2:
         sigma = np.concatenate([sigma, sigmas[-1:]])
         t_new = np.concatenate([t_new, t_rows[-1:]])
@@ -242,19 +217,15 @@ def combine(left, right, q: int):
 def text_entry(
     table, text: str, q: int, *, chunk_size: int = DEFAULT_CHUNK, budget=None
 ):
-    """``(σ, T, T_em)`` of one text shard: chunked balanced reduction.
+    """``(σ, T, T_em)`` of one text shard, folded by :func:`indexed_entry`.
 
-    Each ``chunk_size`` block of characters is reduced fully before the
-    next is materialised, then the per-chunk entries are folded — the
-    value is independent of *chunk_size* (associativity), only the peak
-    working set changes."""
-    if not text:
-        return identity_entry(q)
-    chunk_size = max(2, int(chunk_size))
-    chunk_entries = []
-    for start in range(0, len(text), chunk_size):
-        piece = text[start : start + chunk_size]
-        chunk_entries.append(
-            reduce_stack(char_stack(table, piece, q), q, budget)
-        )
-    return fold_entries(chunk_entries, q, budget)
+    *table* maps every distinct character of *text* to its ``(σ, T,
+    T_em)`` entry (prefetch via
+    :meth:`repro.slp.SLPSpannerEvaluator.char_entries` so workers never
+    touch the locked char-table store).  Character codes are extracted
+    with one UTF-32 encode and deduplicated with ``np.unique`` — no
+    per-position Python loop."""
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    stack = table_stack(table, map(chr, distinct))
+    return indexed_entry(stack, inverse, q, chunk_size=chunk_size, budget=budget)

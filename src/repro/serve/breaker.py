@@ -23,6 +23,13 @@ fault of the guarded path (a schema error, an expired deadline, an
 untyped bug) settles as a success, a fault as a failure.  No exception
 can leave a half-open probe slot held.
 
+A settle belongs to the grant it settles, not to the state the breaker
+is in when it arrives: the guard binds the grant its thread's last
+:meth:`~CircuitBreaker.allow` issued, and only a probe issued in the
+*current* half-open period may settle as a probe result.  A request
+granted while closed that finishes after the breaker went half-open
+says nothing about the probes, so it cannot close the breaker.
+
 All timing uses the monotonic clock; an injectable ``clock`` makes state
 transitions unit-testable without sleeping.  Thread-safe: every
 transition happens under one lock, and :meth:`allow` accounts in-flight
@@ -49,6 +56,10 @@ HALF_OPEN = "half_open"
 
 _STATE_GAUGE = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
 
+#: no grant pending on this thread (a settle then binds to the state it
+#: finds, as a bare record_success/record_failure does)
+_UNBOUND = object()
+
 
 class CircuitBreaker:
     """Trip on consecutive failures, recover through half-open probes."""
@@ -74,6 +85,12 @@ class CircuitBreaker:
         self._opened_at = 0.0
         self._probes_in_flight = 0
         self._probe_successes = 0
+        #: bumped on every entry into half-open: a probe grant carries the
+        #: period it was issued in
+        self._period = 0
+        #: per thread, the grant of its last allow() until it is settled
+        #: (``None`` = a closed-state grant, an int = a probe's period)
+        self._pending = threading.local()
         #: lifetime transition counts (accurate under the lock; the obs
         #: metrics mirror them best-effort)
         self._times_opened = 0
@@ -99,50 +116,69 @@ class CircuitBreaker:
 
         In half-open state, grants are counted as in-flight probes — at
         most ``half_open_probes`` outstanding — and every grant **must**
-        be settled, by running the guarded work under :meth:`guard`.
+        be settled, by running the guarded work under :meth:`guard` on
+        the thread that was granted.
         """
         with self._lock:
             state = self._state_locked()
             if state == CLOSED:
-                return True
-            if state == OPEN:
-                return False
-            if self._probes_in_flight < self.half_open_probes:
+                grant = None
+            elif state == HALF_OPEN and self._probes_in_flight < self.half_open_probes:
                 self._probes_in_flight += 1
-                return True
-            return False
+                grant = self._period
+            else:
+                return False
+        self._pending.grant = grant
+        return True
 
     @contextlib.contextmanager
     def guard(self, is_fault):
         """Settle one :meth:`allow` grant around the guarded work.
 
-        A normal exit records a success; an exception records a failure
-        when ``is_fault(exc)`` holds and a success otherwise (it says
-        nothing about the path's health), then propagates."""
+        The grant is bound on entry: the one this thread's last
+        :meth:`allow` issued.  A normal exit records a success; an
+        exception records a failure when ``is_fault(exc)`` holds and a
+        success otherwise (it says nothing about the path's health), then
+        propagates."""
+        grant = self._take_grant()
         try:
             yield
         except BaseException as exc:
-            (self.record_failure if is_fault(exc) else self.record_success)()
+            self._settle(is_fault(exc), grant)
             raise
-        self.record_success()
+        self._settle(False, grant)
 
     def record_success(self) -> None:
-        with self._lock:
-            state = self._state_locked()
-            if state == HALF_OPEN:
-                self._probes_in_flight = max(0, self._probes_in_flight - 1)
-                self._probe_successes += 1
-                if self._probe_successes >= self.half_open_probes:
-                    self._enter(CLOSED)
-            else:
-                self._consecutive_failures = 0
+        """Settle this thread's pending grant as a success."""
+        self._settle(False, self._take_grant())
 
     def record_failure(self) -> None:
+        """Settle this thread's pending grant as a failure."""
+        self._settle(True, self._take_grant())
+
+    def _take_grant(self):
+        grant = getattr(self._pending, "grant", _UNBOUND)
+        self._pending.grant = _UNBOUND
+        if grant is _UNBOUND:
+            with self._lock:
+                grant = self._period if self._state_locked() == HALF_OPEN else None
+        return grant
+
+    def _settle(self, fault: bool, grant) -> None:
         with self._lock:
             state = self._state_locked()
             if state == HALF_OPEN:
+                if grant != self._period:
+                    return  # not a probe of this period: says nothing
                 self._probes_in_flight = max(0, self._probes_in_flight - 1)
-                self._enter(OPEN)  # one failed probe re-opens, fresh timer
+                if fault:
+                    self._enter(OPEN)  # one failed probe re-opens, fresh timer
+                else:
+                    self._probe_successes += 1
+                    if self._probe_successes >= self.half_open_probes:
+                        self._enter(CLOSED)
+            elif not fault:
+                self._consecutive_failures = 0
             elif state == CLOSED:
                 self._consecutive_failures += 1
                 if self._consecutive_failures >= self.failure_threshold:
@@ -161,6 +197,8 @@ class CircuitBreaker:
         if state in (CLOSED, HALF_OPEN):
             self._probes_in_flight = 0
             self._probe_successes = 0
+        if state == HALF_OPEN:
+            self._period += 1
         if previous != state and obs.enabled():
             registry = obs.metrics()
             registry.gauge("serve.breaker.state").set(_STATE_GAUGE[state])

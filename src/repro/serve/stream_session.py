@@ -25,8 +25,10 @@ concurrently:
 * **clean draining** — :meth:`StreamSession.close` stops admissions,
   processes what is queued under a drain deadline, discards (and counts)
   the rest, and always returns within that deadline plus join slack.
-  An untyped error inside one window is counted in ``internal_errors``
-  and the evaluation thread goes on with the next chunk.
+  An untyped error inside one window is counted in ``internal_errors``,
+  ships one degraded result (``overrun=True``, a ``WindowOverrunError``
+  caused by the error), and the evaluation thread goes on with the next
+  chunk.
 
 Only typed errors cross the session boundary: ``OverloadedError`` and
 ``ServiceStoppedError`` from :meth:`feed`, ``WindowOverrunError`` as a
@@ -257,14 +259,20 @@ class StreamSession:
                         if self._closing:
                             break
                         continue
+                seq = self._stream.begin_window()
+                t0 = time.perf_counter_ns()
                 try:
-                    self._process(chunk)
+                    self._process(seq, chunk)
                 except Exception as exc:  # noqa: BLE001 - the thread must outlive one bad window
-                    # nothing untyped leaves the session; the window is
-                    # lost to accounting, reported, and the feed marches on
+                    # nothing untyped leaves the session: the window is
+                    # counted as an internal error and still ships one
+                    # degraded result (a consumer pairing each feed()
+                    # with one result must not wait forever); the feed
+                    # marches on
                     with self._lock:
                         self._counts["internal_errors"] += 1
                     obs.tracer().event("stream.internal_error", error=repr(exc))
+                    self._results_q.put(self._failed_window(seq, exc, t0))
             # closing admission hands back the backlog atomically, so a
             # chunk fed while the loop wound down is counted, not lost
             discarded = len(self._admission.close()) + (self._carry is not None)
@@ -277,9 +285,24 @@ class StreamSession:
         finally:
             self._results_q.put(_DONE)
 
-    def _process(self, chunk: str) -> None:
+    def _failed_window(self, seq: int, exc: Exception, t0: int) -> WindowResult:
+        """The degraded result of a window that died of an untyped error:
+        nothing ingested, nothing shipped, the error as the marker's cause."""
         stream = self._stream
-        seq = stream.begin_window()
+        return WindowResult(
+            window=seq,
+            chunk_chars=0,
+            document_chars=stream.document_chars,
+            added=[],
+            retracted=[],
+            overrun=True,
+            error=self._overrun(seq, f"internal error ({exc!r})", exc),
+            frontier_bytes=stream.frontier_bytes,
+            window_ns=time.perf_counter_ns() - t0,
+        )
+
+    def _process(self, seq: int, chunk: str) -> None:
+        stream = self._stream
         chaos = self.config.chaos
         verdict = chaos.decide(seq) if chaos is not None else None
         if verdict == "stall":

@@ -117,18 +117,12 @@ class CompressedMembership:
         # One intern pool per pass: equal matrices from different subtrees
         # become one object, so later waves collapse them by identity.
         intern: dict = {}
-        made: list[BitMatrix] = []
-
-        def combine(operands, _wave):
-            products = bool_mm_many(operands, intern=intern)
-            made.extend(products)
-            return products
-
         fresh_entries, walked, _ = index.compute(
-            slp, node, self._char_bitmatrix, combine
+            slp,
+            node,
+            self._char_bitmatrix,
+            lambda operands, _wave: bool_mm_many(operands, intern=intern),
         )
-        for matrix in made:
-            matrix.release_dense()
         fresh = index.merge(slp, fresh_entries)
         index.seal(slp, walked)
         if observing:

@@ -32,7 +32,9 @@ transition function, while ``T`` and ``T_em`` are packed
   them as one *wave* through :func:`~repro.kernels.bitmat.bool_mm_many`,
   which batches the BLAS call and collapses duplicate operand pairs
   (repetitive documents — the reason SLPs exist — repeat most products
-  verbatim);
+  verbatim), and finishes the wave with the one batched ``(σ, T, T_em)``
+  combine, :func:`~repro.kernels.bitmat.combine_rows`, that the shard
+  fold of :mod:`repro.parallel.fold` uses too;
 * the per-descent pruning products in enumeration become packed row/word
   operations with **zero dtype conversions on the hot path**.
 
@@ -67,9 +69,9 @@ from repro.kernels.bitmat import (
     PackedVec,
     bool_mm,
     bool_mm_many,
+    combine_rows,
     function_bits,
-    function_bits_many,
-    intern_many,
+    intern_matrix,
     matvec,
 )
 from repro.obs.profile import DelayProfiler
@@ -322,31 +324,18 @@ class SLPSpannerEvaluator:
         # node-level grouping collapse duplicate nodes in *later* waves.
         intern: dict = {}
         entry_pool: dict = {}
-        made: list = []
-
-        def combine(operands, _wave):
-            entries, distinct = self._combine_wave(operands, intern, entry_pool)
-            made.extend(distinct)
-            return entries
-
-        result = self.index.compute(
-            slp, node, self._char_tables_cache.get, combine, budget
+        return self.index.compute(
+            slp,
+            node,
+            self._char_tables_cache.get,
+            lambda operands, _wave: self._combine_wave(operands, intern, entry_pool),
+            budget,
         )
-        # pair matrices stay resident packed-only: drop the dense mirrors
-        # the wave products accumulated (recomputed lazily if an
-        # incremental preprocess later multiplies against them); char
-        # tables keep theirs — they are the hottest operands and bounded
-        # by the LRU
-        for _, t, t_em in made:
-            t.release_dense()
-            t_em.release_dense()
-        return result
 
     def _combine_wave(
         self, operands: list[tuple], intern: dict, entry_pool: dict
-    ) -> tuple[list, list]:
-        """One wave's (σ, T, T_em) from its operand entry pairs:
-        ``(per-node entries, distinct entries)``."""
+    ) -> list[tuple]:
+        """One wave's per-node (σ, T, T_em) from its operand entry pairs."""
         q = self.det.num_states
         # Node-level identity dedup: two nodes whose operand entries are
         # the same objects (the normal case once matrices are interned)
@@ -365,49 +354,28 @@ class SLPSpannerEvaluator:
                 distinct_l.append(entry_l)
                 distinct_r.append(entry_r)
             node_group.append(g)
-        products = [
-            (entry_l[2], entry_r[1])
-            for entry_l, entry_r in zip(distinct_l, distinct_r)
-        ]
-        sig_l = np.stack([entry_l[0] for entry_l in distinct_l])
-        sig_r = np.stack([entry_r[0] for entry_r in distinct_r])
-        em_r_rows = [entry_r[2].rows for entry_r in distinct_r]
-        results = bool_mm_many(products, intern=intern)
-        # batched across the wave: σ composition, the σ_L-pull of the
-        # right T_em (≥1 emission: left emits · right any, or left pure
-        # · right emits), and T = T_em ∪ σ (no emission is exactly the
-        # σ bit — the identity that saves the second matrix product)
-        dead_l = sig_l == _DEAD
-        sigma_all = np.where(
-            dead_l, _DEAD, np.take_along_axis(sig_r, np.where(dead_l, 0, sig_l), axis=1)
+        pairs = zip(distinct_l, distinct_r)
+        products = bool_mm_many(
+            [(entry_l[2], entry_r[1]) for entry_l, entry_r in pairs], intern=intern
         )
-        pulled = np.stack(em_r_rows)
-        pulled = np.take_along_axis(
-            pulled, np.where(dead_l, 0, sig_l)[:, :, None], axis=1
-        )
-        pulled[dead_l] = 0
-        t_em_rows = np.stack([prod.rows for prod in results]) | pulled
-        t_rows = t_em_rows | function_bits_many(sigma_all, q)
-        d = len(distinct_l)
-        t_em_all = intern_many(
-            intern, [BitMatrix(t_em_rows[k], q) for k in range(d)]
-        )
-        t_all = intern_many(
-            intern, [BitMatrix(t_rows[k], q) for k in range(d)]
+        sigma_all, t_rows, t_em_rows = combine_rows(
+            np.stack([entry_l[0] for entry_l in distinct_l]),
+            np.stack([entry_r[0] for entry_r in distinct_r]),
+            np.stack([entry_r[2].rows for entry_r in distinct_r]),
+            np.stack([product.rows for product in products]),
+            q,
         )
         entries = []
-        for k in range(d):
-            ekey = (
-                id(t_all[k]),
-                id(t_em_all[k]),
-                sigma_all[k].tobytes(),
-            )
+        for k in range(len(distinct_l)):
+            t_em = intern_matrix(intern, BitMatrix(t_em_rows[k], q))
+            t = intern_matrix(intern, BitMatrix(t_rows[k], q))
+            ekey = (id(t), id(t_em), sigma_all[k].tobytes())
             entry = entry_pool.get(ekey)
             if entry is None:
-                entry = (sigma_all[k], t_all[k], t_em_all[k])
+                entry = (sigma_all[k], t, t_em)
                 entry_pool[ekey] = entry
             entries.append(entry)
-        return [entries[g] for g in node_group], entries
+        return [entries[g] for g in node_group]
 
     def cached_nodes(self, serial: int | None = None) -> int:
         """How many (SLP node → matrices) entries are cached, in one arena

@@ -1,8 +1,12 @@
 """Differential tests for the packed-bitset kernels and the plan cache.
 
-Every packed primitive is checked against the retained seed float32
-implementation (``reference_mm`` / ``reference_compose_pure``) on random
-inputs, including sizes on both sides of the batched-matmul crossover.
+Every packed primitive is checked against the seed float32 implementation
+(``reference_mm`` / ``reference_compose_pure`` in ``tests/kernel_oracles.py``)
+on random inputs, including sizes on both sides of the batched-matmul
+crossover; the shared ``(σ, T, T_em)`` combine is checked against a
+per-pair bool reference built from them, and against the three callers
+that must agree on it bit for bit (SLP preprocessing, the text fold, the
+stream guard).
 The golden anchors at the bottom pin the packed evaluation pipeline to
 the paper's own examples: the spanner of Example 1.1 and the SLP of
 Figure 1 produce exactly the results they did before the kernel layer
@@ -21,19 +25,29 @@ from repro.kernels import (
     PlanCache,
     bool_mm,
     bool_mm_many,
-    compose_rows,
+    combine_rows,
     function_bits,
     function_bits_many,
     intern_many,
     intern_matrix,
     matvec,
+    mm_rows,
     pack_rows,
     pack_vec,
-    reference_compose_pure,
-    reference_mm,
     unpack_rows,
     unpack_vec,
     words_for,
+)
+from repro.parallel import text_entry
+from repro.regex import spanner_from_regex
+from repro.slp import SLP, SLPSpannerEvaluator
+from repro.slp.balance import rebalance
+from repro.slp.build import repair_node
+from repro.stream import StreamConfig, WindowedSpannerStream
+from tests.kernel_oracles import (
+    reference_combine,
+    reference_compose_pure,
+    reference_mm,
 )
 
 _DEAD = -1
@@ -81,16 +95,16 @@ class TestPacking:
         packed = pack_rows(bools)
         assert packed[0, 1] == np.uint64(1)
 
-    def test_bitmatrix_mirrors(self):
+    def test_bitmatrix_holds_packed_rows_only(self):
         rng = np.random.default_rng(0)
         bools = _random_bool(rng, 70, 70)
         m = BitMatrix.from_bool(bools)
-        assert np.array_equal(m.to_bool(), bools)
-        assert np.array_equal(m.f32() != 0, bools)
-        before = m.nbytes
-        m.release_dense()
-        assert m.nbytes < before
-        # packed rows stay authoritative after dropping the mirrors
+        assert BitMatrix.__slots__ == ("q", "rows")
+        assert m.nbytes == m.rows.nbytes
+        dense = m.to_bool()
+        assert np.array_equal(dense, bools)
+        # to_bool is a fresh unpack: writing to it leaves the rows alone
+        dense[:] = False
         assert np.array_equal(m.to_bool(), bools)
 
 
@@ -155,17 +169,21 @@ class TestProducts:
         assert bare[0] is not bare[1]
         assert np.array_equal(bare[0].to_bool(), bare[1].to_bool())
 
-    def test_intern_matrix_collision_keeps_unequal_apart(self):
-        # force a fingerprint collision by passing the same key: the exact
-        # bytes comparison must keep different matrices distinct
+    def test_intern_matrix_is_exact_content(self):
         m1 = BitMatrix.from_bool(np.eye(10, dtype=bool))
         m2 = BitMatrix.from_bool(~np.eye(10, dtype=bool))
         pool: dict = {}
-        assert intern_matrix(pool, m1, key=7) is m1
-        assert intern_matrix(pool, m2, key=7) is m2
-        # and an equal-content matrix under the colliding key still dedups
+        assert intern_matrix(pool, m1) is m1
+        # unequal content stays apart
+        assert intern_matrix(pool, m2) is m2
+        # equal content interns to the first object
         m3 = BitMatrix.from_bool(np.eye(10, dtype=bool))
-        assert intern_matrix(pool, m3, key=7) is m1
+        assert intern_matrix(pool, m3) is m1
+        # the same words under another shape stay apart
+        reshaped = BitMatrix(m1.rows.reshape(5, 2), 70)
+        assert reshaped.rows.tobytes() == m1.rows.tobytes()
+        assert intern_matrix(pool, reshaped) is reshaped
+        assert len(pool) == 3
 
     def test_intern_many_matches_one_at_a_time(self):
         rng = np.random.default_rng(3)
@@ -197,12 +215,19 @@ class TestRowKernels:
         assert got.any() == bool((a @ v).any())
 
     @pytest.mark.parametrize("q", [5, 64, 100])
-    def test_compose_rows_matches_reference(self, q):
+    def test_combine_sigma_pull_matches_reference(self, q):
+        # with T_em_L · T_R empty, T_em of the pair is exactly the σ_L-pull
+        # of T_em_R (dead rows zeroed)
         rng = np.random.default_rng(q + 1)
-        sigma = _random_sigma(rng, q)
+        sigma_l, sigma_r = _random_sigma(rng, q), _random_sigma(rng, q)
         matrix = _random_bool(rng, q, q)
-        got = compose_rows(sigma, BitMatrix.from_bool(matrix))
-        assert np.array_equal(got.to_bool(), reference_compose_pure(sigma, matrix))
+        empty = np.zeros((1, q, words_for(q)), dtype=np.uint64)
+        _, _, t_em = combine_rows(
+            sigma_l[None], sigma_r[None], pack_rows(matrix)[None], empty, q
+        )
+        assert np.array_equal(
+            unpack_rows(t_em[0], q), reference_compose_pure(sigma_l, matrix)
+        )
 
     @pytest.mark.parametrize("q", [5, 64, 100])
     def test_function_bits_matches_dense_scatter(self, q):
@@ -230,6 +255,89 @@ class TestRowKernels:
         words = pack_vec(v)
         assert m.row_and_any(0, words)
         assert not m.row_and_any(1, words)
+
+
+# ----------------------------------------------------------------------
+# the shared (σ, T, T_em) combine
+# ----------------------------------------------------------------------
+def _random_entry(rng, q, density):
+    return (
+        _random_sigma(rng, q),
+        _random_bool(rng, q, q, density=density),
+        _random_bool(rng, q, q, density=density),
+    )
+
+
+def _stack(entries, i):
+    return np.stack([entry[i] for entry in entries])
+
+
+def _assert_entries_equal(left, right):
+    assert np.array_equal(left[0], right[0])
+    assert np.array_equal(left[1].rows, right[1].rows)
+    assert np.array_equal(left[2].rows, right[2].rows)
+
+
+class TestCombine:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # one packed word per row, and two
+        q=st.one_of(
+            st.integers(min_value=1, max_value=64),
+            st.integers(min_value=65, max_value=128),
+        ),
+        pairs=st.integers(min_value=1, max_value=4),
+        density=st.sampled_from([0.02, 0.2, 0.6]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_combine_matches_per_pair_reference(self, q, pairs, density, seed):
+        rng = np.random.default_rng(seed)
+        lefts = [_random_entry(rng, q, density) for _ in range(pairs)]
+        rights = [_random_entry(rng, q, density) for _ in range(pairs)]
+        product = mm_rows(
+            pack_rows(_stack(lefts, 2)), pack_rows(_stack(rights, 1)), q
+        )
+        sigma, t_rows, t_em_rows = combine_rows(
+            _stack(lefts, 0),
+            _stack(rights, 0),
+            pack_rows(_stack(rights, 2)),
+            product,
+            q,
+        )
+        for k in range(pairs):
+            want_sigma, want_t, want_em = reference_combine(lefts[k], rights[k], q)
+            assert np.array_equal(sigma[k], want_sigma)
+            assert np.array_equal(unpack_rows(t_rows[k], q), want_t)
+            assert np.array_equal(unpack_rows(t_em_rows[k], q), want_em)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        text=st.text(alphabet="abc", min_size=1, max_size=60),
+        chunk_size=st.integers(min_value=2, max_value=9),
+        cuts=st.lists(st.integers(min_value=1, max_value=59), max_size=4),
+    )
+    def test_preprocess_text_fold_and_stream_guard_agree(
+        self, text, chunk_size, cuts
+    ):
+        pattern = "(a|b|c)*!x{ab(c|a)*}(a|b|c)*"
+        evaluator = SLPSpannerEvaluator(spanner_from_regex(pattern))
+        q = evaluator.det.num_states
+        slp = SLP()
+        node = rebalance(slp, repair_node(slp, text))
+        evaluator.preprocess(slp, node)
+        root = evaluator.node_entry(slp, node)
+        folded = text_entry(
+            evaluator.char_entries(text), text, q, chunk_size=chunk_size
+        )
+        _assert_entries_equal(root, folded)
+        # the stream guard folds the raw feed window by window and checks
+        # it against its own SLP root after every window
+        stream = WindowedSpannerStream(pattern, StreamConfig(chunk_size=chunk_size))
+        bounds = sorted({0, len(text), *(c for c in cuts if c < len(text))})
+        for start, end in zip(bounds, bounds[1:]):
+            stream.ingest(text[start:end])
+        assert stream.stats()["guard_trips"] == 0
+        _assert_entries_equal(stream._prefix_entry, root)
 
 
 # ----------------------------------------------------------------------

@@ -135,6 +135,53 @@ class TestCircuitBreaker:
         clock.advance(0.5)
         assert breaker.state == HALF_OPEN
 
+    def test_closed_grant_settling_in_half_open_is_not_a_probe(self):
+        breaker, clock = self.make(failure_threshold=1, half_open_probes=1)
+
+        def is_fault(exc):
+            return isinstance(exc, FaultInjectedError)
+
+        assert breaker.allow()
+        with breaker.guard(is_fault):  # a slow request, granted while closed
+            assert breaker.allow()
+            with pytest.raises(FaultInjectedError), breaker.guard(is_fault):
+                raise FaultInjectedError("another request fails")
+            assert breaker.state == OPEN
+            clock.advance(1.0)
+            assert breaker.state == HALF_OPEN
+        # the slow request succeeded, but no probe has run
+        assert breaker.state == HALF_OPEN
+        assert breaker.stats()["probes_in_flight"] == 0
+        assert breaker.stats()["times_closed"] == 0
+        # a real probe still closes it
+        assert breaker.allow()
+        with breaker.guard(is_fault):
+            pass
+        assert breaker.state == CLOSED
+
+    def test_probe_from_an_earlier_half_open_period_is_not_a_probe(self):
+        breaker, clock = self.make(failure_threshold=1, half_open_probes=2)
+
+        def is_fault(exc):
+            return isinstance(exc, FaultInjectedError)
+
+        breaker.record_failure()
+        clock.advance(1.0)
+        assert breaker.allow()
+        with breaker.guard(is_fault):  # a slow probe of the first period
+            assert breaker.allow()
+            with pytest.raises(FaultInjectedError), breaker.guard(is_fault):
+                raise FaultInjectedError("the other probe fails")
+            assert breaker.state == OPEN
+            clock.advance(1.0)
+            assert breaker.state == HALF_OPEN
+            assert breaker.allow()
+            with breaker.guard(is_fault):  # one probe of the new period
+                pass
+        # the stale probe's success does not count towards the two needed
+        assert breaker.state == HALF_OPEN
+        assert breaker.stats()["probes_in_flight"] == 0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             CircuitBreaker(failure_threshold=0)
@@ -595,30 +642,37 @@ class TestDegradation:
 # model-based breaker test: allow / guard / clock against a reference model
 # ---------------------------------------------------------------------------
 class BreakerModel:
-    """The breaker's contract, written plainly.  A settle applies to the
-    state current at settle time; an open breaker goes half-open once
-    ``reset_after`` has passed since it opened."""
+    """The breaker's contract, written plainly.  A grant is bound when it
+    is issued — ``None`` while closed, the half-open period for a probe —
+    and only a probe of the current half-open period settles as a probe
+    result; an open breaker goes half-open once ``reset_after`` has passed
+    since it opened."""
 
     def __init__(self, threshold: int, reset_after: float, probes: int) -> None:
         self.threshold, self.reset_after, self.probes = threshold, reset_after, probes
         self.state, self.failures, self.opened_at = CLOSED, 0, 0.0
         self.in_flight = self.successes = self.opened = self.closed = 0
+        self.period = 0
 
     def now_state(self, now: float) -> str:
         if self.state == OPEN and now - self.opened_at >= self.reset_after:
             self.state, self.in_flight, self.successes = HALF_OPEN, 0, 0
+            self.period += 1
         return self.state
 
-    def allow(self, now: float) -> bool:
+    def allow(self, now: float) -> tuple[bool, int | None]:
+        """``(granted, grant)``."""
         state = self.now_state(now)
         if state == HALF_OPEN and self.in_flight < self.probes:
             self.in_flight += 1
-            return True
-        return state == CLOSED
+            return True, self.period
+        return state == CLOSED, None
 
-    def settle(self, fault: bool, now: float) -> None:
+    def settle(self, fault: bool, grant: int | None, now: float) -> None:
         state = self.now_state(now)
         if state == HALF_OPEN:
+            if grant != self.period:
+                return
             self.in_flight = max(0, self.in_flight - 1)
             self.successes += not fault
             if fault:
@@ -650,26 +704,33 @@ class BreakerMachine(RuleBasedStateMachine):
             failure_threshold=2, reset_after=1.0, half_open_probes=2, clock=self.clock
         )
         self.model = BreakerModel(2, 1.0, 2)
-        self.grants = 0
+        #: granted requests still running: (entered guard, model grant)
+        self.running: list = []
 
     @rule()
     def allow(self):
         granted = self.breaker.allow()
-        assert granted == self.model.allow(self.clock.now)
-        self.grants += granted
+        model_granted, grant = self.model.allow(self.clock.now)
+        assert granted == model_granted
+        if granted:
+            # the request enters its guarded work at once and may still be
+            # running while the breaker changes state
+            guard = self.breaker.guard(lambda exc: isinstance(exc, FaultInjectedError))
+            guard.__enter__()
+            self.running.append((guard, grant))
 
-    @precondition(lambda self: self.grants > 0)
-    @rule(outcome=st.sampled_from(sorted(_OUTCOMES)))
-    def settle(self, outcome):
+    @precondition(lambda self: self.running)
+    @rule(data=st.data(), outcome=st.sampled_from(sorted(_OUTCOMES)))
+    def settle(self, data, outcome):
+        index = data.draw(st.integers(min_value=0, max_value=len(self.running) - 1))
+        guard, grant = self.running.pop(index)
         error = _OUTCOMES[outcome]
-        self.grants -= 1
-        try:
-            with self.breaker.guard(lambda exc: isinstance(exc, FaultInjectedError)):
-                if error is not None:
-                    raise error
-        except Exception as exc:  # noqa: BLE001 - the guard must re-raise it
-            assert exc is error
-        self.model.settle(outcome == "fault", self.clock.now)
+        if error is None:
+            guard.__exit__(None, None, None)
+        else:
+            # the guard settles, then lets the exception propagate
+            assert not guard.__exit__(type(error), error, None)
+        self.model.settle(outcome == "fault", grant, self.clock.now)
 
     @rule(seconds=st.sampled_from([0.25, 0.5, 1.0]))
     def advance(self, seconds):

@@ -427,7 +427,13 @@ class TestStreamSession:
         session = StreamSession(PATTERN)
         results, stats = drive(session, chunks)
         assert stats["internal_errors"] == 1
-        assert [result.chunk_chars for result in results] == [4, 3]
+        # the failed window still ships one degraded result, so a consumer
+        # pairing each feed() with one result never waits forever
+        assert [result.chunk_chars for result in results] == [0, 4, 3]
+        failed = results[0]
+        assert failed.overrun and failed.added == [] and failed.retracted == []
+        assert isinstance(failed.error, WindowOverrunError)
+        assert isinstance(failed.error.__cause__, RuntimeError)
         assert stats["windows"] + stats["internal_errors"] + stats["discarded"] == len(chunks)
         text = "".join(chunks[1:])
         replay(results, pattern=PATTERN, text=text)

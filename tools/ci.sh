@@ -74,6 +74,11 @@ else
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q tests/test_procpool.py
 fi
 
+echo "== perfbench tracer lane (a traced run still reaches every layer)"
+# perfbench's tracer patches kernel and stream functions by name; renaming
+# one breaks '--trace 1' and nothing else in this script would notice
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q perfbench/test_perfbench.py -k traced
+
 echo "== regex fuzz fast lane (fixed seed, replayable byte-for-byte)"
 # the default suite already runs these hypothesis tests with a random
 # seed; this lane pins the seed so a CI failure here reproduces exactly
