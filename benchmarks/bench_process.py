@@ -11,12 +11,12 @@ Shapes asserted (never absolute numbers):
   recorded row carries the observed crash count and the overhead ratio
   against a fault-free process run;
 * **process scaling** — on a machine with ≥ 4 usable cores, 4 process
-  workers beat the serial fold ≥ 1.3× on a ≥ 256 KiB document (lower
-  floor than the thread lane's 2×: the transport and supervision are
-  paid from the same wall-clock).  The lane skips — and records no
-  row — where parallelism cannot be exhibited;
+  workers beat the serial fold ≥ 1.3× on a ≥ 256 KiB document (the
+  transport and supervision are paid from the same wall-clock).  The
+  lane skips — and records no row — where parallelism cannot be
+  exhibited;
 * **bulk warm-up parity** — ``preprocess_bulk`` over worker processes
-  adopts exactly the fresh-entry count of the thread backend, with
+  adopts exactly the fresh-entry count of the serial backend, with
   bit-identical matrices (asserted, timing recorded).
 """
 
@@ -194,7 +194,7 @@ def test_process_speedup_4_workers(bench):
 
 
 def test_process_bulk_preprocess_parity(bench):
-    """Bulk warm-up over processes adopts exactly the thread backend's
+    """Bulk warm-up over processes adopts exactly the serial backend's
     fresh entries, bit for bit."""
     source = PATTERN
     texts = [_random_text(2048, seed=i) for i in range(6)]
@@ -214,18 +214,18 @@ def test_process_bulk_preprocess_parity(bench):
         )
         return time.perf_counter() - start, evaluator, slp, nodes, fresh
 
-    thread_s, thread_eval, thread_slp, thread_nodes, thread_fresh = warm("thread")
+    serial_s, serial_eval, serial_slp, serial_nodes, serial_fresh = warm("serial")
     process_s, proc_eval, proc_slp, proc_nodes, proc_fresh = warm("process")
-    assert proc_fresh == thread_fresh > 0
-    for t_node, p_node in zip(thread_nodes, proc_nodes):
+    assert proc_fresh == serial_fresh > 0
+    for s_node, p_node in zip(serial_nodes, proc_nodes):
         assert _entries_equal(
-            thread_eval.node_entry(thread_slp, t_node),
+            serial_eval.node_entry(serial_slp, s_node),
             proc_eval.node_entry(proc_slp, p_node),
         )
     bench(lambda: warm("process"), rounds=1)
     bench.record(
         documents=len(texts),
-        thread_seconds=thread_s,
+        serial_seconds=serial_s,
         process_seconds=process_s,
         fresh_entries=proc_fresh,
     )

@@ -37,7 +37,7 @@ Subcommands
     python -m repro db store.slpdb add logs "error at line 3"
     python -m repro db store.slpdb edit head 'extract(doc(logs),1,6)'
     python -m repro db store.slpdb query '!x{[a-z]+}' logs --deadline 2.0
-    python -m repro db store.slpdb bulk '!x{[a-z]+}' logs head --workers 4
+    python -m repro db store.slpdb bulk '!x{[a-z]+}' logs head --backend process
     python -m repro db store.slpdb text head
     python -m repro db store.slpdb ls
     python -m repro db store.slpdb stats
@@ -281,7 +281,6 @@ def _run_db_action(args) -> int:
         relations = store.query_bulk(
             "__cli__",
             args.operands[1:],
-            workers=args.workers,
             backend=args.backend,
             budget=budget,
         )
@@ -662,15 +661,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     db.add_argument("operands", nargs="*", help="action-specific operands")
     db.add_argument(
-        "--workers", type=int, default=None,
-        help="bulk: worker threads for the parallel preprocessing fan-out",
-    )
-    db.add_argument(
         "--backend",
-        choices=["auto", "thread", "process", "serial"],
+        choices=["auto", "process", "serial"],
         default="auto",
-        help="bulk: repro.parallel backend (auto picks the crash-isolated"
-        " process pool on multi-core hosts, threads otherwise)",
+        help="bulk: repro.parallel backend (auto = serial on this thread;"
+        " process = the crash-isolated worker-process pool)",
     )
     db.add_argument(
         "--trace", default=None, metavar="FILE",

@@ -126,8 +126,8 @@ class SpannerDB:
         #: regex source text per spanner registered from a string — what
         #: the process backend ships to workers so they can compile their
         #: own (deterministic, hence bit-identical) evaluator; spanners
-        #: registered from automaton objects have no entry and fall back
-        #: to the thread backend under ``backend="auto"``
+        #: registered from automaton objects have no entry and run
+        #: serially even under ``backend="process"``
         self._spanner_sources: dict[str, str] = {}
         #: attached journal file (set by save/open); None = not persistent
         self._journal_path: str | None = None
@@ -459,32 +459,28 @@ class SpannerDB:
         spanner: str,
         documents,
         *,
-        workers: int | None = None,
         backend: str = "auto",
         budget=None,
     ) -> dict:
         """Evaluate *spanner* on many stored documents at once.
 
         One spanner lookup is amortised across the whole batch, and the
-        per-document matrix preprocessing fans out over a
-        :mod:`repro.parallel` worker pool (workers run the pure wave
-        computation against the shared node cache; results merge on this
-        thread, so cache mutation stays single-threaded).  The final
-        relations are materialised serially from the warmed cache.
+        per-document matrix preprocessing runs through
+        :func:`repro.parallel.preprocess_bulk`.  The final relations are
+        materialised serially from the warmed cache.
 
-        *backend* is ``"auto"`` by default: multi-core hosts with a
-        string-registered spanner fan out to the crash-isolated process
-        pool (the arena ships as a shared-memory snapshot and workers
-        compile the spanner from its source — bit-identical matrices);
-        everything else, and any host where the process path's circuit
-        breaker is open, uses threads.  ``"thread"``, ``"process"``, and
-        ``"serial"`` force a specific backend.
+        *backend* is ``"auto"`` by default, which runs the batch serially
+        on this thread: on the measured hosts the process pool made bulk
+        warm-up slower, not faster (see ``docs/PERFORMANCE.md``).
+        ``"process"`` asks for the crash-isolated pool (the arena ships
+        as a shared-memory snapshot and workers compile the spanner from
+        its source — bit-identical matrices); ``"serial"`` is explicit.
 
         Returns ``{document: SpanRelation}`` in input order.  Results are
         identical to calling :meth:`evaluate` per document — the
-        differential test suite asserts this across backends and worker
-        counts.  A shared :class:`~repro.util.Budget` governs the whole
-        batch, fan-out included."""
+        differential test suite asserts this for both backends.  A shared
+        :class:`~repro.util.Budget` governs the whole batch, fan-out
+        included."""
         from repro.parallel import preprocess_bulk
 
         names = list(documents)
@@ -504,7 +500,6 @@ class SpannerDB:
                     evaluator,
                     self.slp,
                     nodes,
-                    workers=workers,
                     backend=backend,
                     budget=budget,
                     source=self._spanner_sources.get(spanner),

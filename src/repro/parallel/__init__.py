@@ -7,17 +7,14 @@ each shard's per-character entries on a worker, fold the shard entries.
 This package provides
 
 * the exact, batched fold kernel (:mod:`repro.parallel.fold`), which
-  advances a whole reduction level per numpy call (thread workers are
-  not reliably faster than serial: 0.63× on 256 KiB on a 2-core host;
-  ``benchmarks/bench_parallel.py`` asserts ≥ 2× at 4 workers only where
-  4 cores are usable);
-* the worker-pool backends (:mod:`repro.parallel.pool`): ``"thread"``
-  for production in one address space, ``"process"`` for crash-isolated
+  advances a whole reduction level per numpy call;
+* two backends — ``"serial"``, a loop on the calling thread and the
+  bit-for-bit differential anchor, and ``"process"``, crash-isolated
   evaluation on the supervised pool of :mod:`repro.parallel.procpool`
-  (worker deaths are detected, workers respawned, lost shards retried),
-  ``"serial"`` as the bit-for-bit differential anchor — plus ``"auto"``
-  resolution with circuit-broken degradation
-  (:func:`~repro.parallel.api.resolve_backend`);
+  (worker deaths are detected, workers respawned, lost shards retried)
+  — plus ``"auto"`` resolution with circuit-broken degradation
+  (:func:`~repro.parallel.api.resolve_backend`), set from the backend
+  sweep in ``docs/PERFORMANCE.md``;
 * leak-proof zero-copy transport for the process backend
   (:mod:`repro.parallel.shm`): one shared-memory segment per request,
   created only by the parent and unlinked on success, failure, and
@@ -53,19 +50,15 @@ from repro.parallel.fold import (
     table_stack,
     text_entry,
 )
-from repro.parallel.pool import (
-    BACKENDS,
-    default_workers,
-    run_tasks,
-    usable_cores,
-)
 from repro.parallel.procpool import (
     ProcCall,
     ProcPool,
     configure_pool,
+    default_workers,
     get_pool,
     pool_stats,
     shutdown_pool,
+    usable_cores,
 )
 from repro.parallel.shm import (
     SegmentRegistry,
@@ -75,7 +68,6 @@ from repro.parallel.shm import (
 )
 
 __all__ = [
-    "BACKENDS",
     "DEFAULT_CHUNK",
     "ProcCall",
     "ProcPool",
@@ -98,7 +90,6 @@ __all__ = [
     "process_breaker",
     "reduce_stack",
     "resolve_backend",
-    "run_tasks",
     "shard_spans",
     "shutdown_pool",
     "table_stack",

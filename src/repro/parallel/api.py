@@ -4,19 +4,22 @@ Two fan-out shapes, both built on the associative ``(σ, T, T_em)``
 algebra of :mod:`repro.parallel.fold`:
 
 * **within one document** — :func:`document_matrices` splits a plain-text
-  document into balanced shards, folds each shard on a worker, and folds
-  the shard entries on the calling thread.  The result is bit-for-bit the
-  entry ``preprocess`` would compute for the same document's SLP;
+  document into balanced shards, folds each shard (in a loop on the
+  calling thread, or on a pool worker), and folds the shard entries on
+  the calling thread.  The result is bit-for-bit the entry
+  ``preprocess`` would compute for the same document's SLP;
   :func:`is_nonempty_text` answers non-emptiness from it without
   enumeration.
 * **across documents** — :func:`preprocess_bulk` warms one evaluator's
-  node matrices for many stored documents concurrently: workers run the
-  pure :meth:`~repro.slp.SLPSpannerEvaluator.compute_entries` (reading
-  the shared cache, writing nothing), and results merge on the calling
-  thread afterwards.  :meth:`SpannerDB.query_bulk <repro.db.SpannerDB.query_bulk>`
-  and the batched request type of :mod:`repro.serve` sit on top.
+  node matrices for many stored documents: serially, one
+  :meth:`~repro.slp.SLPSpannerEvaluator.preprocess` per document; on the
+  pool, workers compute the entries the caller lacks and they merge on
+  the calling thread afterwards.  :meth:`SpannerDB.query_bulk
+  <repro.db.SpannerDB.query_bulk>` and the batched request type of
+  :mod:`repro.serve` sit on top.
 
-Both accept every backend of :mod:`repro.parallel.pool` plus ``"auto"``.
+Both accept ``"serial"`` (the calling thread), ``"process"`` (the
+supervised pool of :mod:`repro.parallel.procpool`) and ``"auto"``.
 For the ``"process"`` backend the fan-out changes vehicle, not value:
 inputs ship through :mod:`repro.parallel.shm` (character-index arrays,
 per-character entry stacks, SLP arena snapshots), workers of the
@@ -28,7 +31,7 @@ wave computation) are the *same code* operating on the same values.
 ``"auto"`` resolution and graceful degradation live in
 :func:`resolve_backend` and the module's process-path circuit breaker: a
 :class:`~repro.errors.WorkerCrashError` records a failure and the work
-reruns on the thread backend (identical results, no crash isolation);
+reruns serially (identical results, no crash isolation);
 enough consecutive crashes open the breaker and ``"auto"`` stops
 choosing the process backend until it recovers.
 :class:`~repro.errors.PoolExhaustedError` degrades only under
@@ -53,18 +56,18 @@ from contextlib import nullcontext
 import numpy as np
 
 from repro import obs
-from repro.errors import PoolExhaustedError, WorkerCrashError
+from repro.errors import ParallelError, PoolExhaustedError, WorkerCrashError
 from repro.kernels.bitmat import BitMatrix, words_for
 from repro.parallel.fold import (
     DEFAULT_CHUNK,
+    char_codes,
     fold_entries,
     indexed_entry,
     shard_spans,
     table_stack,
     text_entry,
 )
-from repro.parallel.pool import default_workers, run_tasks, usable_cores
-from repro.parallel.procpool import ProcCall, get_pool
+from repro.parallel.procpool import ProcCall, default_workers, get_pool, usable_cores
 from repro.parallel.shm import SegmentRegistry, attached_job
 from repro.slp.spanner_eval import SLPSpannerEvaluator
 from repro.util.budget import Budget, Deadline
@@ -79,8 +82,10 @@ __all__ = [
 ]
 
 #: below this many characters the pipe/segment round-trip costs more
-#: than the fold itself; ``"auto"`` keeps such documents on threads
+#: than the fold itself; ``"auto"`` keeps such documents serial
 _PROCESS_MIN_CHARS = 4096
+
+_BACKENDS = ("auto", "process", "serial")
 
 _breaker_lock = threading.Lock()
 _breaker = None
@@ -90,7 +95,7 @@ def process_breaker():
     """The circuit breaker guarding the process backend (lazily built).
 
     Worker crashes record failures; enough consecutive ones open it and
-    :func:`resolve_backend` answers ``"thread"`` until the half-open
+    :func:`resolve_backend` answers ``"serial"`` until the half-open
     probe succeeds.  Exposed so tests and the serve layer can inspect or
     reset degradation state."""
     global _breaker
@@ -102,30 +107,29 @@ def process_breaker():
         return _breaker
 
 
-def resolve_backend(
-    backend: str = "auto",
-    *,
-    size_hint_chars: int | None = None,
-    shippable: bool = True,
-) -> str:
-    """Resolve ``"auto"`` to a concrete backend; pass others through.
+def resolve_backend(backend: str = "auto", *, size_hint_chars: int | None = None) -> str:
+    """Resolve ``"auto"`` to ``"process"`` or ``"serial"``.
 
-    ``"auto"`` picks ``"process"`` only when it can pay off: at least two
-    usable cores (affinity-aware), the work is shippable (e.g. the
-    spanner's source text is known, for worker-side compilation), the
-    document is large enough to amortise the transport, and the process
-    breaker is closed.  Otherwise ``"thread"``."""
+    The other two names pass through; anything else raises
+    :class:`ParallelError`.
+
+    ``"auto"`` picks ``"process"`` only where the backend sweep of
+    ``docs/PERFORMANCE.md`` shows it paying off: a single-document fold
+    (*size_hint_chars* given) of at least ``_PROCESS_MIN_CHARS``
+    characters, on at least two usable cores (affinity-aware), with the
+    process breaker closed.  Everything else — bulk warm-up, which passes
+    no size hint and measured slower on the pool than serially — is
+    ``"serial"``."""
+    if backend not in _BACKENDS:
+        raise ParallelError(
+            f"unknown parallel backend {backend!r}; expected one of {_BACKENDS}"
+        )
     if backend != "auto":
         return backend
-    if not shippable:
-        return "thread"
-    if usable_cores() < 2:
-        return "thread"
-    if size_hint_chars is not None and size_hint_chars < _PROCESS_MIN_CHARS:
-        return "thread"
-    breaker = process_breaker()
-    if not breaker.allow():
-        return "thread"
+    if size_hint_chars is None or size_hint_chars < _PROCESS_MIN_CHARS:
+        return "serial"
+    if usable_cores() < 2 or not process_breaker().allow():
+        return "serial"
     # allow() in half-open state reserves a probe slot that must be
     # settled; the probe is the request itself, and _try_process settles
     # it through the breaker's guard.
@@ -143,14 +147,14 @@ def _is_crash(exc: BaseException) -> bool:
 
 
 def _try_process(requested: str, fn):
-    """Run *fn* (a process-backend fan-out); ``None`` means "rerun on
-    threads".
+    """Run *fn* (a process-backend fan-out); ``None`` means "rerun
+    serially".
 
     A :class:`~repro.errors.WorkerCrashError` means crash isolation did
     its job: the workers died, we did not, and the values are identical
-    on threads — only the isolation is lost.  A
+    serially — only the isolation is lost.  A
     :class:`~repro.errors.PoolExhaustedError` is backpressure, not ill
-    health: ``"auto"`` falls back to threads, an explicit ``"process"``
+    health: ``"auto"`` falls back to serial, an explicit ``"process"``
     caller gets the typed signal.  Under ``"auto"`` the breaker grant of
     :func:`resolve_backend` is settled by the guard: only a crash counts
     against the pool; any other outcome (typed task errors included —
@@ -192,7 +196,7 @@ def _budget_spec(budget):
 
     The monotonic clock is system-wide on Linux, so a deadline instant is
     meaningful in the worker.  Steps are *not* shared across processes
-    the way the thread backend shares one Budget object — each worker
+    the way the serial path shares one Budget object — each worker
     gets the full remaining allowance, and the parent charges the actual
     worker-reported steps to the caller's budget afterwards, so step
     exhaustion still surfaces (just after the batch, not mid-shard)."""
@@ -226,7 +230,7 @@ def document_matrices(
     text: str,
     *,
     workers: int | None = None,
-    backend: str = "thread",
+    backend: str = "serial",
     shards: int | None = None,
     chunk_size: int = DEFAULT_CHUNK,
     budget=None,
@@ -234,29 +238,30 @@ def document_matrices(
     """``(σ, T, T_em)`` of *text* under *spanner*, computed shard-parallel.
 
     The document is split into *shards* balanced spans (default: one per
-    worker); each worker folds its span with the chunked kernel of
-    :mod:`repro.parallel.fold`; the per-shard entries fold on the calling
-    thread.  The returned entry is **bit-for-bit identical** for every
-    ``(backend, workers, shards, chunk_size)`` choice — asserted
-    differentially against the SLP ``preprocess`` path by the test suite.
+    *workers*, itself defaulting to the usable cores); each span folds
+    with the chunked kernel of :mod:`repro.parallel.fold` — in a loop on
+    the calling thread under ``"serial"``, on a pool worker under
+    ``"process"`` — and the per-shard entries fold on the calling thread.
+    The returned entry is **bit-for-bit identical** for every ``(backend,
+    workers, shards, chunk_size)`` choice — asserted differentially
+    against the SLP ``preprocess`` path by the test suite.
 
-    A shared :class:`~repro.util.Budget` governs all workers: steps are
-    charged per combined pair and ``max_bytes`` guards each level's
-    transient float32 stacks, so deadlines and memory limits hold across
-    the fan-out exactly as they do on the serial path.  (On the process
-    backend the deadline ships to the workers and steps are charged when
-    their counts return — see :func:`_budget_spec`.)"""
+    A :class:`~repro.util.Budget` is charged one step per combined pair,
+    and ``max_bytes`` guards each level's transient float32 stacks.  (On
+    the process backend the deadline ships to the workers and steps are
+    charged when their counts return — see :func:`_budget_spec`.)"""
     evaluator = as_evaluator(spanner)
     q = evaluator.det.num_states
     if workers is None:
         workers = default_workers()
     if shards is None:
         shards = workers
+    if shards < 1:
+        raise ParallelError(f"shards and workers must be >= 1, got {shards}")
     requested = backend
     backend = resolve_backend(backend, size_hint_chars=len(text))
     spans = shard_spans(len(text), shards)
-    # distinct chars resolve through the store's lock exactly once, here;
-    # workers then read a plain dict
+    # distinct chars resolve through the store's lock exactly once, here
     table = evaluator.char_entries(text)
     observing = obs.enabled()
     with obs.tracer().span(
@@ -273,19 +278,13 @@ def document_matrices(
                 requested,
                 lambda: _fold_shards_process(table, text, q, spans, chunk_size, budget),
             )
-            backend = "thread"  # what runs if the process attempt gave None
         if shard_entries is None:
-            thunks = [
-                lambda start=start, end=end: text_entry(
-                    table,
-                    text[start:end],
-                    q,
-                    chunk_size=chunk_size,
-                    budget=budget,
+            shard_entries = [
+                text_entry(
+                    table, text[start:end], q, chunk_size=chunk_size, budget=budget
                 )
                 for start, end in spans
             ]
-            shard_entries = run_tasks(thunks, workers=workers, backend=backend)
         t1 = time.perf_counter_ns() if observing else 0
         entry = fold_entries(shard_entries, q, budget)
         if observing:
@@ -315,8 +314,7 @@ def _fold_shards_process(table, text: str, q: int, spans, chunk_size, budget):
     on every exit path."""
     if not spans:
         return []
-    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-    distinct, inverse = np.unique(codes, return_inverse=True)
+    distinct, inverse = np.unique(char_codes(text), return_inverse=True)
     stack = table_stack(table, [chr(code) for code in distinct])
     w = words_for(q)
     n_shards = len(spans)
@@ -421,62 +419,51 @@ def preprocess_bulk(
     slp,
     nodes,
     *,
-    workers: int | None = None,
-    backend: str = "thread",
+    backend: str = "serial",
     budget=None,
     source: str | None = None,
 ) -> int:
-    """Warm *evaluator*'s matrices for several documents concurrently.
+    """Warm *evaluator*'s matrices for several documents.
 
-    Thread/serial workers run the pure per-document wave computation
-    (:meth:`~repro.slp.SLPSpannerEvaluator.compute_entries`) against the
-    shared node cache — reads only — and the results merge on the calling
-    thread once every worker has finished, so cache mutation is
-    single-threaded by construction.  Documents sharing subtrees may
-    compute a shared node's entry redundantly; the merge keeps one copy.
+    ``"serial"`` (and ``"auto"``, which resolves to it) runs one
+    :meth:`~repro.slp.SLPSpannerEvaluator.preprocess` per document on the
+    calling thread; each merges and seals its document, so documents
+    later in the batch reuse the subtrees they share with earlier ones.
 
-    The process backend additionally needs *source* — the spanner's
-    regex text — because workers rebuild their own evaluator from it via
-    their local plan cache (determinisation is deterministic, so the
-    worker's matrices are bit-identical); the arena ships once as a
-    digest-keyed snapshot through shared memory.  Without a source,
-    ``"process"``/``"auto"`` quietly degrade to ``"thread"``.
+    ``"process"`` additionally needs *source* — the spanner's regex text
+    — because workers rebuild their own evaluator from it via their local
+    plan cache (determinisation is deterministic, so the worker's
+    matrices are bit-identical); the arena ships once as a digest-keyed
+    snapshot through shared memory, and the shipped entries merge on the
+    calling thread.  Without a source it degrades to ``"serial"``.
 
     Returns the number of fresh entries adopted."""
     nodes = list(nodes)
     requested = backend
-    backend = resolve_backend(
-        backend, shippable=source is not None and len(nodes) > 1
-    )
+    backend = resolve_backend(backend)
     if backend == "process" and source is None:
         _record_degraded("unshippable")
-        backend = "thread"
+        backend = "serial"
     with obs.tracer().span(
         "parallel.preprocess_bulk", documents=len(nodes), backend=backend
     ):
         observing = obs.enabled()
         t0 = time.perf_counter_ns() if observing else 0
-        results = None
+        shipped = None
         if backend == "process":
-            results = _try_process(
+            shipped = _try_process(
                 requested,
                 lambda: _preprocess_bulk_process(evaluator, source, slp, nodes, budget),
             )
-            backend = "thread"  # what runs if the process attempt gave None
-        if results is None:
-            thunks = [
-                lambda node=node: evaluator.compute_entries(slp, node, budget)
-                for node in nodes
-            ]
-            results = run_tasks(thunks, workers=workers, backend=backend)
+        if shipped is None:
+            fresh = sum(evaluator.preprocess(slp, node, budget) for node in nodes)
         t1 = time.perf_counter_ns() if observing else 0
-        fresh = 0
-        for fresh_entries, _ in results:
-            fresh += evaluator.merge_entries(slp, fresh_entries)
-        # seal each document root so repeat queries — and the discovery
-        # walks of any later documents sharing these subtrees — skip them
-        for node in nodes:
-            evaluator.seal_subtree(slp, node)
+        if shipped is not None:
+            fresh = sum(evaluator.merge_entries(slp, entries) for entries in shipped)
+            # seal each document root so repeat queries — and the discovery
+            # walks of any later documents sharing these subtrees — skip them
+            for node in nodes:
+                evaluator.seal_subtree(slp, node)
         if observing:
             registry = obs.metrics()
             registry.counter("parallel.fanout_ns").inc(t1 - t0)
@@ -529,11 +516,9 @@ def _preprocess_bulk_process(evaluator, source: str, slp, nodes, budget):
         ]
         deadline = budget.deadline if budget is not None else None
         raw = get_pool().run(calls, deadline=deadline)
-    results = []
-    total_steps = 0
-    for entries, visited, steps in raw:
-        total_steps += steps
-        unpacked = {
+    _charge_worker_steps(budget, sum(steps for _, steps in raw))
+    return [
+        {
             node: (
                 sigma,
                 BitMatrix(t_rows, len(sigma)),
@@ -541,9 +526,8 @@ def _preprocess_bulk_process(evaluator, source: str, slp, nodes, budget):
             )
             for node, (sigma, t_rows, t_em_rows) in entries.items()
         }
-        results.append((unpacked, visited))
-    _charge_worker_steps(budget, total_steps)
-    return results
+        for entries, _ in raw
+    ]
 
 
 #: worker-side cache of rebuilt arenas, keyed by content digest; bounded
@@ -591,9 +575,9 @@ def _preprocess_doc_task(
     slp = _worker_arena(digest, arena_descrs)
     evaluator = plan_cache().get_or_compile(source).evaluator
     budget = _budget_from_spec(budget_spec)
-    fresh_entries, visited = evaluator.compute_entries(slp, node, budget)
+    fresh_entries = evaluator.compute_entries(slp, node, budget)
     # warm the worker's own cache too: later documents in this batch that
-    # share subtrees then skip recomputation, like the thread path does —
+    # share subtrees then skip recomputation, like the serial path does —
     # and seal, so repeat requests against a warm worker walk nothing
     evaluator.merge_entries(slp, fresh_entries)
     evaluator.seal_subtree(slp, node)
@@ -608,4 +592,4 @@ def _preprocess_doc_task(
     for node_id in to_ship:
         sigma, t, t_em = evaluator.node_entry(slp, node_id)
         shipped[node_id] = (sigma, t.rows, t_em.rows)
-    return shipped, visited, (budget.steps if budget is not None else 0)
+    return shipped, (budget.steps if budget is not None else 0)

@@ -30,9 +30,7 @@ with a handful of *batched* numpy operations (stacked float32 matmul,
 ``take_along_axis`` gathers, word-wise unions) on ``(m, q, ·)`` arrays,
 with no per-entry Python objects anywhere inside a shard.  The batching
 is what pays (≥ 2× over a scalar per-character fold, in practice ~20×,
-``benchmarks/bench_parallel.py``).  Thread workers do *not* reliably add
-speed on top: a 256 KiB fold with thread workers measured 0.63× of
-serial on a 2-core host (see ROADMAP.md).  No duplicate-product
+``benchmarks/bench_parallel.py``).  No duplicate-product
 collapsing happens inside a shard — O(n·|Q|³) arithmetic instead of the
 SLP path's O(|S|·|Q|³) — which is why the compressed path still wins on
 repetitive documents (see ``docs/PERFORMANCE.md``).
@@ -57,6 +55,7 @@ from repro.kernels.bitmat import (
 
 __all__ = [
     "DEFAULT_CHUNK",
+    "char_codes",
     "combine",
     "fold_entries",
     "identity_entry",
@@ -214,6 +213,15 @@ def combine(left, right, q: int):
     return fold_entries([left, right], q)
 
 
+def char_codes(text: str) -> np.ndarray:
+    """The code point of every character of *text*, as ``uint32``.
+
+    One UTF-32 encode, no per-position Python loop.  ``"surrogatepass"``
+    lets a lone surrogate (legal in a ``str``, not in UTF-32) through as
+    its own code, exactly the value ``ord()`` gives it."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+
+
 def text_entry(
     table, text: str, q: int, *, chunk_size: int = DEFAULT_CHUNK, budget=None
 ):
@@ -221,11 +229,9 @@ def text_entry(
 
     *table* maps every distinct character of *text* to its ``(σ, T,
     T_em)`` entry (prefetch via
-    :meth:`repro.slp.SLPSpannerEvaluator.char_entries` so workers never
-    touch the locked char-table store).  Character codes are extracted
-    with one UTF-32 encode and deduplicated with ``np.unique`` — no
-    per-position Python loop."""
-    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-    distinct, inverse = np.unique(codes, return_inverse=True)
+    :meth:`repro.slp.SLPSpannerEvaluator.char_entries` so the fold never
+    touches the locked char-table store).  Character codes
+    (:func:`char_codes`) are deduplicated with ``np.unique``."""
+    distinct, inverse = np.unique(char_codes(text), return_inverse=True)
     stack = table_stack(table, map(chr, distinct))
     return indexed_entry(stack, inverse, q, chunk_size=chunk_size, budget=budget)

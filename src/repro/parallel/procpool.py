@@ -1,18 +1,19 @@
 """A supervised process pool: crash-isolated shard evaluation.
 
-The thread backend of :mod:`repro.parallel.pool` shares one address
-space with the caller — cheap, but a worker that segfaults, gets
-OOM-killed, or wedges in native code takes the whole service with it.
-This module provides the ``"process"`` backend: a small, supervised pool
-of worker *processes* to which shard work is shipped as picklable task
-descriptors (:class:`ProcCall`), with bulk array payloads travelling
-through :mod:`repro.parallel.shm` rather than pipes.
+The ``"serial"`` backend runs in the caller's address space — cheap, but
+a fold that segfaults, gets OOM-killed, or wedges in native code takes
+the whole service with it.  This module provides the ``"process"``
+backend: a small, supervised pool of worker *processes* to which shard
+work is shipped as picklable task descriptors (:class:`ProcCall`), with
+bulk array payloads travelling through :mod:`repro.parallel.shm` rather
+than pipes.
 
 Supervision contract (what :class:`ProcPool.run` guarantees):
 
 * **results in submission order, first error re-raised after the batch
-  settles** — the same contract as :func:`repro.parallel.pool.run_tasks`,
-  so the backends are drop-in interchangeable;
+  settles** — the error of the earliest *submitted* failing task wins,
+  whichever raised first, so a batch answers like the serial loop it
+  replaces;
 * **crash containment** — a worker dying mid-task (SIGKILL, OOM, hard
   exit) is detected via its process sentinel, the worker is respawned,
   and *only the lost task* is re-dispatched, with a fresh chaos sequence
@@ -74,14 +75,17 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.util.budget import Deadline
+from repro.util.retry_after import RetryAfterHint
 
 __all__ = [
     "ProcCall",
     "ProcPool",
     "configure_pool",
+    "default_workers",
     "get_pool",
     "pool_stats",
     "shutdown_pool",
+    "usable_cores",
 ]
 
 #: how long (seconds) a dispatched task may go unanswered before the
@@ -96,6 +100,28 @@ _DEFAULT_CRASH_TOLERANCE = 4
 
 #: how many times one task may be re-dispatched after losing its worker
 _DEFAULT_TASK_RETRIES = 2
+
+#: cap on the *default* worker count — beyond this, memory bandwidth is
+#: the bottleneck for the fold kernel's batched matmuls; callers who know
+#: better pass ``workers`` explicitly
+_DEFAULT_WORKER_CAP = 8
+
+
+def usable_cores() -> int:
+    """CPUs this process may actually run on.
+
+    ``os.sched_getaffinity`` respects cgroup/container cpusets and
+    ``taskset`` restrictions — inside a 2-core container on a 64-core
+    host it answers 2, where ``os.cpu_count()`` answers 64.  Platforms
+    without affinity (macOS) fall back to ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
+def default_workers() -> int:
+    return max(1, min(_DEFAULT_WORKER_CAP, usable_cores()))
 
 
 # ----------------------------------------------------------------------
@@ -123,15 +149,13 @@ class ProcCall:
     Closures cannot cross a process boundary, so the process backend
     ships *names*: the worker resolves ``fn`` by import (cached) and
     applies it.  Instances are also directly callable, so any ProcCall
-    can be executed inline — the degradation paths rely on that to rerun
-    the identical work on the thread or serial backend.
+    can be executed inline on the calling thread.
 
     ``trace`` optionally carries the request's
     :class:`~repro.obs.context.TraceContext` (see ``obs.child_context``):
     the worker activates it for the task's duration so its spans stitch
     under the dispatching span.  It is ignored by ``__call__`` — inline
-    re-execution on the thread backend already runs inside the caller's
-    context.
+    execution already runs inside the caller's context.
     """
 
     fn: str
@@ -355,8 +379,6 @@ class ProcPool:
         crash_tolerance: int = _DEFAULT_CRASH_TOLERANCE,
         task_retries: int = _DEFAULT_TASK_RETRIES,
     ) -> None:
-        from repro.parallel.pool import default_workers
-
         self.workers = int(workers) if workers is not None else default_workers()
         if self.workers < 1:
             raise ParallelError(f"workers must be >= 1, got {self.workers}")
@@ -390,8 +412,8 @@ class ProcPool:
             "exhausted": 0,
             "harvests": 0,
         }
-        # EWMA of run durations feeds PoolExhaustedError.retry_after
-        self._mean_run_seconds = 0.05
+        # observed run durations feed PoolExhaustedError.retry_after
+        self._run_time = RetryAfterHint()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -455,13 +477,12 @@ class ProcPool:
                 f"failed to spawn a process-pool worker: {exc}"
             ) from exc
         if not checked_out:
-            retry_after = self._mean_run_seconds
             self._bump("exhausted")
             if obs.enabled():
                 obs.metrics().counter("parallel.proc.exhausted").inc()
             raise PoolExhaustedError(
                 f"all {self.workers} process-pool workers are busy",
-                retry_after=retry_after,
+                retry_after=self._run_time.hint(1),
             )
         return checked_out
 
@@ -521,8 +542,7 @@ class ProcPool:
         """Execute *calls* (:class:`ProcCall` instances), results in order.
 
         The batch settles completely before any error is raised; the
-        error with the smallest call index wins, matching
-        :func:`repro.parallel.pool.run_tasks`.  After the first error no
+        error with the smallest call index wins.  After the first error no
         *new* tasks are dispatched (fail-fast), so a poisoned batch does
         not burn the remaining shards' work."""
         calls = list(calls)
@@ -556,8 +576,7 @@ class ProcPool:
                 self._checkin(team)
                 if flight_registry is not None:
                     flight_registry.close()
-        elapsed = time.monotonic() - start
-        self._mean_run_seconds = 0.8 * self._mean_run_seconds + 0.2 * elapsed
+        self._run_time.observe(time.monotonic() - start)
         return results
 
     def _obs_spec(self, worker: _Worker, flight_rings, flight_registry):

@@ -314,16 +314,15 @@ class SpannerService:
         *,
         deadline: float | Deadline | None = None,
         max_steps: int | None = None,
-        workers: int | None = None,
         backend: str = "auto",
     ) -> Ticket:
         """Enqueue one *batch* of queries over many stored documents.
 
-        *backend* defaults to ``"auto"``: the bulk preprocessing fans out
-        to the crash-isolated process pool when the host and spanner
-        allow it, degrading to threads otherwise (see
-        :func:`repro.parallel.resolve_backend`).  An explicit
-        ``"process"`` that finds the pool fully checked out surfaces as
+        *backend* defaults to ``"auto"``, which preprocesses the batch
+        serially on the service worker (see
+        :func:`repro.parallel.resolve_backend`); ``"process"`` ships it to
+        the crash-isolated process pool.  An explicit ``"process"`` that
+        finds the pool fully checked out surfaces as
         :class:`~repro.errors.OverloadedError` with a ``retry_after``
         hint, exactly like an admission-queue shed.
 
@@ -331,16 +330,12 @@ class SpannerService:
         keeps the retry-after hint honest under overload), shares one
         deadline and step budget, and amortises the spanner lookup and
         plan-cache hit across every document through
-        :meth:`SpannerDB.query_bulk <repro.db.SpannerDB.query_bulk>`;
-        matrix preprocessing fans out over *workers* :mod:`repro.parallel`
-        threads.  The degraded attempt evaluates each document
-        decompressed.  The ticket resolves to a :class:`BulkQueryResult`."""
+        :meth:`SpannerDB.query_bulk <repro.db.SpannerDB.query_bulk>`.  The
+        degraded attempt evaluates each document decompressed.  The ticket resolves to a :class:`BulkQueryResult`."""
         documents = list(documents)
 
         def compressed(db, budget):
-            relations = db.query_bulk(
-                spanner, documents, workers=workers, backend=backend, budget=budget
-            )
+            relations = db.query_bulk(spanner, documents, backend=backend, budget=budget)
             return {name: list(relation) for name, relation in relations.items()}
 
         return self._submit(
@@ -455,7 +450,6 @@ class SpannerService:
         *,
         deadline: float | Deadline | None = None,
         max_steps: int | None = None,
-        workers: int | None = None,
         backend: str = "auto",
         timeout: float | None = 30.0,
     ) -> BulkQueryResult:
@@ -465,7 +459,6 @@ class SpannerService:
             documents,
             deadline=deadline,
             max_steps=max_steps,
-            workers=workers,
             backend=backend,
         ).result(timeout)
 

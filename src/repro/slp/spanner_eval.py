@@ -203,9 +203,9 @@ class SLPSpannerEvaluator:
         """``{ch: (σ, T, T_em)}`` for every distinct character of *chars*.
 
         Prefetches through the shared per-automaton store — one lock
-        acquisition per *distinct* character — so shard workers in
-        :mod:`repro.parallel` read a plain dict instead of contending on
-        the store lock once per document position."""
+        acquisition per *distinct* character — so the shard fold of
+        :mod:`repro.parallel` reads a plain dict instead of taking the
+        store lock once per document position."""
         return {ch: self._char_tables_cache.get(ch) for ch in set(chars)}
 
     def preprocess(self, slp: SLP, node: int, budget=None) -> int:
@@ -220,12 +220,11 @@ class SLPSpannerEvaluator:
         walk, and an unsealed root's discovery walk stops at sealed
         children — after a CDE edit or append (which only allocate fresh
         arena nodes) the walk visits O(fresh + log n) nodes, never the
-        whole document.  The wave computation itself lives in
-        :meth:`compute_entries` (pure — no evaluator state is touched)
-        and the results are adopted through :meth:`merge_entries`;
-        :mod:`repro.parallel` uses the same two halves to fan the
-        computation of several documents out across worker threads and
-        merge (then seal) on the caller's thread.
+        whole document.  The serial path of
+        :func:`repro.parallel.preprocess_bulk` is one call per document;
+        its process path runs the wave computation on pool workers
+        (:meth:`compute_entries`) and adopts the shipped entries through
+        :meth:`merge_entries` and :meth:`seal_subtree`.
 
         With :mod:`repro.obs` enabled, cache effectiveness
         (``slp.eval.cache_hits`` / ``slp.eval.cache_misses``), discovery
@@ -269,9 +268,9 @@ class SLPSpannerEvaluator:
         """Walk *node*'s unsealed frontier and seal every subtree whose
         entries are fully cached; returns whether *node* itself is sealed.
 
-        The post-merge half of :func:`repro.parallel.preprocess_bulk`:
-        workers compute entries without mutating the evaluator, the owner
-        thread merges them, then seals each document root so later
+        The post-merge half of the process path of
+        :func:`repro.parallel.preprocess_bulk`: pool workers ship entries,
+        the caller merges them, then seals each document root so later
         queries take the O(1) sealed path."""
         return self.index.seal_subtree(slp, node)
 
@@ -283,22 +282,15 @@ class SLPSpannerEvaluator:
         """How many nodes are sealed, in one arena or overall."""
         return self.index.sealed_nodes(serial)
 
-    def compute_entries(
-        self, slp: SLP, node: int, budget=None
-    ) -> tuple[dict, int]:
+    def compute_entries(self, slp: SLP, node: int, budget=None) -> dict:
         """The wave computation of :meth:`preprocess`, as a pure function:
-        ``(fresh_entries, visited)`` where *fresh_entries* maps
         ``node -> (σ, T, T_em)`` (ids of *slp*) for every reachable node
-        not already cached, and *visited* counts the nodes the discovery
-        walk actually examined (sealed subtrees are skipped wholesale, so
-        on a warm cache this is O(fresh + log n), not O(n)).
+        not already cached.  The discovery walk skips sealed subtrees
+        wholesale, so on a warm cache it is O(fresh + log n), not O(n).
 
-        Nothing on the evaluator is mutated, and the shared node cache is
-        only *read* — so any number of threads may run this concurrently
-        (one per document, say) provided no thread mutates the evaluator
-        meanwhile; each then adopts its results via :meth:`merge_entries`
-        on the owning thread.  Documents sharing subtrees may compute a
-        shared node's entry more than once; the merge keeps one copy.
+        Nothing on the evaluator is mutated — the caller adopts the
+        result via :meth:`merge_entries`.  Process-pool workers of
+        :func:`repro.parallel.preprocess_bulk` run this per document.
 
         Fresh pair nodes are grouped into *waves* of equal depth (all
         operands already computed) and each wave's products run as one
@@ -306,8 +298,7 @@ class SLPSpannerEvaluator:
         :func:`repro.kernels.bitmat.bool_mm_many`.  Only ``T_em`` is ever
         multiplied: ``T = T_em ∪ σ`` recovers the full reachability matrix
         as a word-level union."""
-        fresh_entries, walked, _ = self._compute_frontier(slp, node, budget)
-        return fresh_entries, len(walked)
+        return self._compute_frontier(slp, node, budget)[0]
 
     def _compute_frontier(
         self, slp: SLP, node: int, budget=None

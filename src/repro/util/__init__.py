@@ -1,6 +1,7 @@
-"""Utilities: synthetic workloads, resource budgets, fault injection."""
+"""Utilities: workloads, budgets, fault injection, retry-after hints."""
 
 from repro.util.budget import Budget, Deadline
+from repro.util.retry_after import RetryAfterHint
 from repro.util.faults import (
     ChaosInjector,
     FeedChaos,
@@ -24,6 +25,7 @@ __all__ = [
     "ChaosInjector",
     "Deadline",
     "FeedChaos",
+    "RetryAfterHint",
     "WorkerChaos",
     "fail_at_allocation",
     "fail_at_call",

@@ -18,13 +18,15 @@ from repro import parallel
 from repro.db import SpannerDB
 from repro.errors import ParallelError
 from repro.parallel import (
+    ProcCall,
+    ProcPool,
     combine,
     default_workers,
     document_matrices,
     fold_entries,
+    get_pool,
     identity_entry,
     is_nonempty_text,
-    run_tasks,
     shard_spans,
 )
 from repro.regex import spanner_from_regex
@@ -101,7 +103,7 @@ class TestFold:
         rng = random.Random(13)
         text = "".join(rng.choice("ab") for _ in range(257))
         anchor = document_matrices(evaluator, text, backend="serial", shards=1)
-        for backend in ("serial", "thread"):
+        for backend in ("serial", "process"):
             for shards in (1, 2, 3, 7):
                 for chunk_size in (2, 16, 64, 4096):
                     got = document_matrices(
@@ -113,6 +115,15 @@ class TestFold:
                         chunk_size=chunk_size,
                     )
                     assert _entries_equal(got, anchor), (backend, shards, chunk_size)
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_lone_surrogate_text_matches_slp_preprocess(self, backend):
+        """A lone surrogate is a legal ``str`` character but not valid
+        UTF-32; the fold must read its code like ``ord()`` does."""
+        evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERNS[1]))
+        text = "ab\ud800b" * 3
+        got = document_matrices(evaluator, text, backend=backend, shards=2)
+        assert _entries_equal(got, _slp_entry(evaluator, text))
 
     def test_empty_document(self):
         evaluator = SLPSpannerEvaluator(spanner_from_regex("!x{a*}"))
@@ -146,26 +157,46 @@ class TestFold:
                     assert max(sizes) - min(sizes) <= 1
 
 
+ECHO = "repro.parallel.procpool:_task_echo"
+
+
 class TestPool:
+    """Backend names and the shared process pool behind ``"process"``."""
+
     def test_unknown_backend_raises(self):
+        evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERNS[1]))
         with pytest.raises(ParallelError):
-            run_tasks([lambda: 1], backend="fork")
+            document_matrices(evaluator, "ab", backend="fork")
+
+    def test_thread_backend_is_gone(self):
+        evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERNS[1]))
+        with pytest.raises(ParallelError):
+            document_matrices(evaluator, "ab", backend="thread")
+        db = SpannerDB()
+        db.add_document("a", "ab")
+        db.register_spanner("s", PATTERNS[1])
+        with pytest.raises(ParallelError):
+            db.query_bulk("s", ["a"], backend="thread")
 
     def test_invalid_workers_raises(self):
         with pytest.raises(ParallelError):
-            run_tasks([lambda: 1], workers=0)
+            ProcPool(workers=0)
+        evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERNS[1]))
+        with pytest.raises(ParallelError):
+            document_matrices(evaluator, "ab", workers=0)
 
     def test_results_in_submission_order(self):
-        thunks = [lambda i=i: i * i for i in range(20)]
-        assert run_tasks(thunks, workers=4) == [i * i for i in range(20)]
-        assert run_tasks(thunks, backend="serial") == [i * i for i in range(20)]
+        calls = [ProcCall(ECHO, (i * i,)) for i in range(20)]
+        assert get_pool().run(calls) == [i * i for i in range(20)]
 
     def test_worker_exception_propagates(self):
-        def boom():
-            raise ValueError("shard failed")
-
-        with pytest.raises(ValueError):
-            run_tasks([lambda: 1, boom, lambda: 2], workers=2)
+        calls = [
+            ProcCall(ECHO, (1,)),
+            ProcCall("repro.parallel.procpool:_task_raise", ("shard failed",)),
+            ProcCall(ECHO, (2,)),
+        ]
+        with pytest.raises(ParallelError, match="shard failed"):
+            get_pool().run(calls)
 
     def test_default_workers_positive(self):
         assert default_workers() >= 1
@@ -186,25 +217,24 @@ class TestQueryBulk:
     def test_bulk_equals_sequential_query_fuzzed(self):
         """The ISSUE's differential requirement: ``query_bulk`` must give
         exactly the per-document ``query`` answers, for fuzzed documents
-        and every backend/worker combination."""
+        and every backend."""
         rng = random.Random(23)
         for trial in range(4):
             db, names = self._store(rng)
             pattern = PATTERNS[trial % len(PATTERNS)]
             db.register_spanner("s", pattern)
             want = {name: set(db.query("s", name)) for name in names}
-            for backend, workers in (("serial", 1), ("thread", 2), ("thread", 4)):
-                bulk = db.query_bulk("s", names, workers=workers, backend=backend)
+            for backend in ("serial", "process", "auto"):
+                bulk = db.query_bulk("s", names, backend=backend)
                 assert list(bulk) == names  # input order
                 assert {n: set(r) for n, r in bulk.items()} == want, (
                     pattern,
                     backend,
-                    workers,
                 )
 
     def test_bulk_on_edited_documents(self):
-        """Documents produced by CDE edits share subtrees; the concurrent
-        warm-up must still merge to one consistent cache."""
+        """Documents produced by CDE edits share subtrees; the warm-up
+        must still merge to one consistent cache on either backend."""
         from repro.slp import parse_cde
 
         db = SpannerDB()
@@ -213,9 +243,10 @@ class TestQueryBulk:
         db.edit("twice", parse_cde("concat(doc(head),doc(base))"))
         db.register_spanner("s", "(a|b)*!x{ab}(a|b)*")
         names = ["base", "head", "twice"]
-        bulk = db.query_bulk("s", names, workers=4)
-        for name in names:
-            assert set(bulk[name]) == set(db.query("s", name))
+        want = {name: set(db.query("s", name)) for name in names}
+        for backend in ("serial", "process"):
+            bulk = db.query_bulk("s", names, backend=backend)
+            assert {n: set(r) for n, r in bulk.items()} == want, backend
 
     def test_bulk_unknown_document_raises(self):
         from repro.errors import SLPError
@@ -243,7 +274,7 @@ class TestServeBulk:
         want = {n: set(db.query("s", n)) for n in ("one", "two", "three")}
         with SpannerService(db, ServeConfig(workers=2)) as service:
             result = service.query_bulk(
-                "s", ["one", "two", "three"], workers=2, deadline=30.0
+                "s", ["one", "two", "three"], deadline=30.0
             )
             assert isinstance(result, BulkQueryResult)
             assert not result.degraded

@@ -13,7 +13,7 @@ The contract under test, end to end:
 * **leak-proof transport** — after every test in this file, crash tests
   included, :func:`~repro.parallel.live_segments` is empty (asserted by
   an autouse fixture);
-* **graceful degradation** — crashes degrade to threads (feeding the
+* **graceful degradation** — crashes degrade to serial (feeding the
   breaker under ``"auto"``), pool exhaustion surfaces typed with a
   ``retry_after`` hint, and the serve layer maps it to
   :class:`~repro.errors.OverloadedError`.
@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 import repro.parallel.api as parallel_api
-import repro.parallel.pool as parallel_pool
+import repro.parallel.procpool as parallel_procpool
 from repro.db import SpannerDB
 from repro.errors import (
     DeadlineExceededError,
@@ -48,7 +48,6 @@ from repro.parallel import (
     preprocess_bulk,
     process_breaker,
     resolve_backend,
-    run_tasks,
     shutdown_pool,
     usable_cores,
 )
@@ -68,6 +67,12 @@ ECHO = "repro.parallel.procpool:_task_echo"
 PID = "repro.parallel.procpool:_task_pid"
 SLEEP = "repro.parallel.procpool:_task_sleep_ms"
 RAISE = "repro.parallel.procpool:_task_raise"
+
+
+def _slow_fail(message):
+    """Raise *message* after a sibling task has had time to fail first."""
+    time.sleep(0.3)
+    raise ParallelError(message)
 
 
 def _pool_cleared_in_child():
@@ -303,18 +308,21 @@ class TestProcPoolSupervision:
         finally:
             pool.shutdown()
 
-    def test_run_tasks_process_backend_requires_proccalls(self):
-        with pytest.raises(ParallelError, match="ProcCall"):
-            run_tasks([lambda: 1, lambda: 2], backend="process")
-
-    def test_run_tasks_routes_proccalls_to_the_shared_pool(self):
-        configure_pool(workers=2)
-        got = run_tasks(
-            [ProcCall(ECHO, (i,)) for i in range(5)],
-            workers=2,
-            backend="process",
-        )
-        assert got == list(range(5))
+    def test_exhaustion_hint_is_the_observed_run_time(self):
+        """``retry_after`` comes from the shared
+        :class:`~repro.util.RetryAfterHint` fed by finished runs."""
+        pool = ProcPool(workers=1)
+        try:
+            pool.run([ProcCall(ECHO, (1,))])
+            expected = pool._run_time.hint(1)
+            assert expected > 0.001
+            held = pool._checkout(1)  # hold the only worker
+            with pytest.raises(PoolExhaustedError) as info:
+                pool.run([ProcCall(ECHO, (2,))])
+            assert info.value.retry_after == expected
+            pool._checkin(held)
+        finally:
+            pool.shutdown()
 
     def test_forked_workers_do_not_inherit_the_shared_pool(self):
         import multiprocessing
@@ -480,7 +488,7 @@ class TestProcessDifferential:
         )
         assert budget.steps > 0
 
-    def test_preprocess_bulk_process_matches_thread(self):
+    def test_preprocess_bulk_process_matches_serial(self):
         source = PATTERNS[2]
         texts = ["abba" * (i + 1) for i in range(6)] + ["b" * 9, "ab" * 17]
 
@@ -497,13 +505,13 @@ class TestProcessDifferential:
             )
             return evaluator, slp, nodes, fresh
 
-        thread_eval, thread_slp, thread_nodes, thread_fresh = warm("thread")
+        serial_eval, serial_slp, serial_nodes, serial_fresh = warm("serial")
         proc_eval, proc_slp, proc_nodes, proc_fresh = warm("process")
-        assert proc_fresh == thread_fresh > 0
-        for t_node, p_node in zip(thread_nodes, proc_nodes):
-            t_entry = thread_eval.node_entry(thread_slp, t_node)
+        assert proc_fresh == serial_fresh > 0
+        for s_node, p_node in zip(serial_nodes, proc_nodes):
+            s_entry = serial_eval.node_entry(serial_slp, s_node)
             p_entry = proc_eval.node_entry(proc_slp, p_node)
-            assert _entries_equal(t_entry, p_entry)
+            assert _entries_equal(s_entry, p_entry)
 
     def test_bulk_process_warms_a_cold_parent_despite_warm_workers(self):
         """Workers keep digest-keyed arena and plan-cache evaluators warm
@@ -534,9 +542,9 @@ class TestProcessDifferential:
             > 0
         )
 
-    def test_process_crash_degrades_to_thread_with_exact_answer(self):
+    def test_process_crash_degrades_to_serial_with_exact_answer(self):
         """A kill-everything chaos schedule cannot corrupt results: the
-        crash surfaces, the fold reruns on threads, and the entry is
+        crash surfaces, the fold reruns serially, and the entry is
         bit-for-bit the serial one."""
         configure_pool(workers=2, chaos=WorkerChaos(seed=1, kill_rate=1.0),
                        task_retries=0, crash_tolerance=100)
@@ -552,21 +560,35 @@ class TestProcessDifferential:
 # ----------------------------------------------------------------------
 class TestResolveBackend:
     def test_explicit_backends_pass_through(self):
-        for backend in ("thread", "process", "serial"):
+        for backend in ("process", "serial"):
             assert resolve_backend(backend) == backend
 
     def test_auto_needs_cores(self, monkeypatch):
         monkeypatch.setattr(parallel_api, "usable_cores", lambda: 1)
-        assert resolve_backend("auto", size_hint_chars=1 << 20) == "thread"
+        assert resolve_backend("auto", size_hint_chars=1 << 20) == "serial"
 
     def test_auto_needs_size(self, monkeypatch):
         monkeypatch.setattr(parallel_api, "usable_cores", lambda: 8)
-        assert resolve_backend("auto", size_hint_chars=64) == "thread"
+        assert resolve_backend("auto", size_hint_chars=64) == "serial"
         assert resolve_backend("auto", size_hint_chars=1 << 20) == "process"
 
-    def test_auto_needs_shippable_work(self, monkeypatch):
+    def test_auto_bulk_is_serial(self, monkeypatch):
+        """Bulk warm-up passes no size hint; the pool measured slower than
+        serial there, so ``"auto"`` never picks it."""
         monkeypatch.setattr(parallel_api, "usable_cores", lambda: 8)
-        assert resolve_backend("auto", shippable=False) == "thread"
+        assert resolve_backend("auto") == "serial"
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("bulk auto contacted the process pool")
+
+        monkeypatch.setattr(parallel_api, "_preprocess_bulk_process", no_pool)
+        evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERNS[0]))
+        slp = SLP()
+        nodes = [balanced_node(slp, "ab" * 3000), balanced_node(slp, "ba" * 3000)]
+        fresh = preprocess_bulk(
+            evaluator, slp, nodes, backend="auto", source=PATTERNS[0]
+        )
+        assert fresh > 0
 
     def test_auto_respects_open_breaker(self, monkeypatch):
         monkeypatch.setattr(parallel_api, "usable_cores", lambda: 8)
@@ -574,7 +596,7 @@ class TestResolveBackend:
         for _ in range(3):
             breaker.record_failure()
         assert breaker.state == "open"
-        assert resolve_backend("auto", size_hint_chars=1 << 20) == "thread"
+        assert resolve_backend("auto", size_hint_chars=1 << 20) == "serial"
 
     def test_auto_crashes_feed_the_breaker(self, monkeypatch):
         monkeypatch.setattr(parallel_api, "usable_cores", lambda: 8)
@@ -587,8 +609,8 @@ class TestResolveBackend:
             got = document_matrices(evaluator, text, backend="auto", shards=2)
             assert _entries_equal(got, anchor)
         assert process_breaker().state == "open"
-        # breaker open: auto now resolves to thread, no pool contact
-        assert resolve_backend("auto", size_hint_chars=len(text)) == "thread"
+        # breaker open: auto now resolves to serial, no pool contact
+        assert resolve_backend("auto", size_hint_chars=len(text)) == "serial"
 
     def test_exhaustion_degrades_auto_but_raises_explicit(self, monkeypatch):
         monkeypatch.setattr(parallel_api, "usable_cores", lambda: 8)
@@ -601,7 +623,7 @@ class TestResolveBackend:
         text = "ab" * 4096
         anchor = document_matrices(evaluator, text, backend="serial")
         got = document_matrices(evaluator, text, backend="auto")
-        assert _entries_equal(got, anchor)  # degraded to threads, same bits
+        assert _entries_equal(got, anchor)  # degraded to serial, same bits
         assert process_breaker().state == "closed"  # backpressure ≠ illness
         with pytest.raises(PoolExhaustedError) as info:
             document_matrices(evaluator, text, backend="process")
@@ -618,7 +640,7 @@ class TestAffinityDefaults:
 
     def test_default_workers_follow_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(
-            parallel_pool.os, "sched_getaffinity", lambda pid: {0, 1, 2}
+            parallel_procpool.os, "sched_getaffinity", lambda pid: {0, 1, 2}
         )
         assert usable_cores() == 3
         assert default_workers() == 3
@@ -627,56 +649,43 @@ class TestAffinityDefaults:
         def broken(pid):
             raise OSError("no affinity on this platform")
 
-        monkeypatch.setattr(parallel_pool.os, "sched_getaffinity", broken)
+        monkeypatch.setattr(parallel_procpool.os, "sched_getaffinity", broken)
         assert usable_cores() == max(1, os.cpu_count() or 1)
 
 
 # ----------------------------------------------------------------------
-# fail-fast cancellation in the thread backend
+# fail-fast and error order in the pool
 # ----------------------------------------------------------------------
 class TestFailFast:
     def test_pending_tasks_are_cancelled_after_first_failure(self):
-        """One worker, one instant failure, then slow recorders: the
-        failure must cancel the queued tail rather than drain it."""
-        executed: list[int] = []
-        lock = threading.Lock()
-
-        def failer():
-            raise ParallelError("fail fast")
-
-        def recorder(index):
-            with lock:
-                executed.append(index)
-            time.sleep(0.05)  # wide window for the cancellation sweep
-
-        thunks = [failer] + [
-            (lambda i=i: recorder(i)) for i in range(12)
-        ]
-        with pytest.raises(ParallelError, match="fail fast"):
-            run_tasks(thunks, workers=1, backend="thread")
-        # at most one recorder can have started before the cancel sweep;
-        # a non-fail-fast pool would have run all twelve
-        assert len(executed) <= 1
+        """One worker, one instant failure, then a queued tail: the
+        failure must stop dispatch rather than drain the tail."""
+        pool = ProcPool(workers=1)
+        try:
+            calls = [ProcCall(RAISE, ("fail fast",))] + [
+                ProcCall(ECHO, (index,)) for index in range(12)
+            ]
+            with pytest.raises(ParallelError, match="fail fast"):
+                pool.run(calls)
+            # a pool without fail-fast would have settled all thirteen
+            assert pool.stats()["tasks"] == 1
+        finally:
+            pool.shutdown()
 
     def test_earliest_submitted_failure_wins(self):
-        order: list[str] = []
-        gate = threading.Event()
-
-        def slow_fail():
-            gate.wait(timeout=5)
-            order.append("slow")
-            raise ParallelError("slow loser")
-
-        def fast_fail():
-            order.append("fast")
-            gate.set()
-            raise ParallelError("fast winner")
-
-        # two workers: both failures execute; the error surfaced must be
-        # the earliest *submitted*, not the earliest to raise
-        with pytest.raises(ParallelError, match="slow loser"):
-            run_tasks([slow_fail, fast_fail], workers=2, backend="thread")
-        assert order == ["fast", "slow"]
+        """Both failures execute; the error surfaced must be the earliest
+        *submitted*, not the earliest to raise."""
+        pool = ProcPool(workers=2)
+        try:
+            calls = [
+                ProcCall("tests.test_procpool:_slow_fail", ("slow loser",)),
+                ProcCall(RAISE, ("fast winner",)),
+            ]
+            with pytest.raises(ParallelError, match="slow loser"):
+                pool.run(calls)
+            assert pool.stats()["tasks"] == 2
+        finally:
+            pool.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -690,11 +699,11 @@ class TestServeIntegration:
         db.register_spanner("s", "(a|b)*!x{ab}(a|b)*")
         return db
 
-    def test_query_bulk_process_backend_matches_thread(self):
+    def test_query_bulk_process_backend_matches_serial(self):
         configure_pool(workers=2)
         db = self._build()
         names = ["one", "two", "three"]
-        thread_result = db.query_bulk("s", names, backend="thread")
+        serial_result = db.query_bulk("s", names, backend="serial")
         process_result = db.query_bulk("s", names, backend="process")
         assert list(process_result) == names  # input order survives
         assert {
@@ -702,7 +711,7 @@ class TestServeIntegration:
             for name, tuples in process_result.items()
         } == {
             name: sorted(map(str, tuples))
-            for name, tuples in thread_result.items()
+            for name, tuples in serial_result.items()
         }
 
     def test_service_bulk_process_backend_round_trip(self):

@@ -163,6 +163,20 @@ class TestWindowedStream:
             text += chunk
         assert {str(t) for t in stream.results()} == one_shot(PATTERN, text)
 
+    @pytest.mark.parametrize("pattern", ["(a|b)*!x{ab}(a|b)*", ".*!x{ab}.*"])
+    def test_lone_surrogate_chunks_answer_like_slp_evaluation(self, pattern):
+        """A lone surrogate is a legal ``str`` character; the guard fold
+        must read it like the SLP path does instead of failing to encode."""
+        stream = WindowedSpannerStream(pattern)
+        text = ""
+        for chunk in ["ab\ud800b", "ab"]:
+            stream.append(chunk)
+            text += chunk
+            slp = SLP()
+            evaluator = SLPSpannerEvaluator(spanner_from_regex(pattern))
+            want = {str(t) for t in evaluator.evaluate(slp, balanced_node(slp, text))}
+            assert {str(t) for t in stream.results()} == want
+
     def test_overrun_ships_typed_marker_and_later_window_reconciles(self):
         stream = WindowedSpannerStream(PATTERN)
         stream.append("ab")

@@ -39,15 +39,12 @@ SPEEDUP_FLOORS = {
     "test_c3_packed_kernel_speedup": 3.0,
     "test_o2_repeated_query_plan_cache": 2.0,
     # shard-parallel evaluation (ISSUE 5): the batched-fold row always
-    # exists; the 4-worker row only on machines with >= 4 usable cores
-    # (the lane skips where parallelism cannot be exhibited)
+    # exists
     "test_parallel_batched_fold_speedup": 2.0,
-    "test_parallel_speedup_4_workers": 2.0,
     # supervised process pool (ISSUE 6): the differential and crash-
     # recovery rows always exist; the 4-worker scaling row only on
-    # machines with >= 4 usable cores.  The floor is lower than the
-    # thread lane's — shared-memory transport and supervision are paid
-    # from the same wall-clock as the fold itself
+    # machines with >= 4 usable cores.  Shared-memory transport and
+    # supervision are paid from the same wall-clock as the fold itself
     "test_process_speedup_4_workers": 1.3,
     # sublinear incremental maintenance (ISSUE 9): warm post-edit
     # preprocess vs cold rebuild at the largest (64x) document size —
