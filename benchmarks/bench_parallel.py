@@ -7,11 +7,12 @@ identical), never as absolute numbers:
   fold of the *same* exact algebra ≥ 2× on any machine (the single-core
   payoff of the kernel design, independent of worker count);
 * **the backend sweep** — serial vs the worker-process pool for
-  ``document_matrices`` at 4 KiB–1 MiB and ``query_bulk`` at 8–32 log
-  documents.  These lanes carry no floor: they record the measurement
-  ``resolve_backend("auto")`` is set from, together with the choice it
-  makes for each row, and assert only that both backends answer bit for
-  bit alike.
+  ``document_matrices`` at 4 KiB–1 MiB.  These lanes carry no floor:
+  they record the measurement ``resolve_backend("auto")`` is set from,
+  together with the choice it makes for each row, and assert only that
+  both backends answer bit for bit alike.  (The ``query_bulk`` rows of
+  the sweep are gone with the process bulk path; see
+  ``docs/PERFORMANCE.md``.)
 
 ``test_parallel_query_bulk_amortisation`` additionally records the
 per-document cost of ``SpannerDB.query_bulk`` against a sequential query
@@ -38,10 +39,8 @@ from repro.parallel import (
 )
 from repro.regex import spanner_from_regex
 from repro.slp import SLPSpannerEvaluator
-from repro.util import log_document
 
 PATTERN = "(a|b)*!x{a+}!y{b+}(a|b)*"
-BULK_PATTERN = "(.|\n)*!x{ERROR user=[a-z]+}(.|\n)*"
 
 
 def _usable_cores() -> int:
@@ -107,7 +106,7 @@ def test_parallel_batched_fold_speedup(bench):
 def test_parallel_query_bulk_amortisation(bench):
     """``query_bulk`` answers exactly like a sequential query loop; the
     recorded timings show the per-batch amortisation (one spanner lookup,
-    one warm-up fan-out)."""
+    one span)."""
     db = SpannerDB()
     names = []
     for index in range(8):
@@ -183,31 +182,3 @@ def test_parallel_backend_sweep_document(bench, shared_pool, size):
         resolve_backend("auto", size_hint_chars=size),
         doc_length=size,
     )
-
-
-@pytest.mark.parametrize("count", [8, 16, 32])
-def test_parallel_backend_sweep_bulk(bench, shared_pool, count):
-    """One ``query_bulk`` row of the backend sweep: serial vs the process
-    pool over *count* stored log documents, no floor.  Each run builds a
-    fresh store; as always through ``SpannerDB``, adding and registering
-    preprocess every document, so the row measures what a bulk query
-    costs a store on each backend."""
-    texts = [log_document(20, seed=index) for index in range(count)]
-    names = [f"log{index}" for index in range(count)]
-
-    def bulk(backend):
-        db = SpannerDB()
-        for name, text in zip(names, texts):
-            db.add_document(name, text)
-        db.register_spanner("s", BULK_PATTERN)
-        start = time.perf_counter()
-        relations = db.query_bulk("s", names, backend=backend)
-        return time.perf_counter() - start, {
-            name: sorted(map(str, rel)) for name, rel in relations.items()
-        }
-
-    bulk("process")  # fork the workers outside the measured rounds
-    medians, answers = _alternate(bulk)
-    assert answers["serial"] == answers["process"]
-    bench(lambda: bulk("auto"), rounds=1)
-    _record_sweep_row(bench, medians, resolve_backend("auto"), documents=count)

@@ -14,10 +14,7 @@ Shapes asserted (never absolute numbers):
   workers beat the serial fold ≥ 1.3× on a ≥ 256 KiB document (the
   transport and supervision are paid from the same wall-clock).  The
   lane skips — and records no row — where parallelism cannot be
-  exhibited;
-* **bulk warm-up parity** — ``preprocess_bulk`` over worker processes
-  adopts exactly the fresh-entry count of the serial backend, with
-  bit-identical matrices (asserted, timing recorded).
+  exhibited.
 """
 
 import os
@@ -32,11 +29,10 @@ from repro.parallel import (
     document_matrices,
     live_segments,
     pool_stats,
-    preprocess_bulk,
     shutdown_pool,
 )
 from repro.regex import spanner_from_regex
-from repro.slp import SLP, SLPSpannerEvaluator, balanced_node
+from repro.slp import SLPSpannerEvaluator
 from repro.util import WorkerChaos
 
 PATTERN = "(a|b)*!x{a+}!y{b+}(a|b)*"
@@ -191,41 +187,3 @@ def test_process_speedup_4_workers(bench):
         speedup=speedup,
     )
     assert speedup >= 1.3
-
-
-def test_process_bulk_preprocess_parity(bench):
-    """Bulk warm-up over processes adopts exactly the serial backend's
-    fresh entries, bit for bit."""
-    source = PATTERN
-    texts = [_random_text(2048, seed=i) for i in range(6)]
-    configure_pool(workers=2)
-
-    def warm(backend):
-        evaluator = SLPSpannerEvaluator(spanner_from_regex(source))
-        slp = SLP()
-        nodes = [balanced_node(slp, text) for text in texts]
-        start = time.perf_counter()
-        fresh = preprocess_bulk(
-            evaluator,
-            slp,
-            nodes,
-            backend=backend,
-            source=source if backend == "process" else None,
-        )
-        return time.perf_counter() - start, evaluator, slp, nodes, fresh
-
-    serial_s, serial_eval, serial_slp, serial_nodes, serial_fresh = warm("serial")
-    process_s, proc_eval, proc_slp, proc_nodes, proc_fresh = warm("process")
-    assert proc_fresh == serial_fresh > 0
-    for s_node, p_node in zip(serial_nodes, proc_nodes):
-        assert _entries_equal(
-            serial_eval.node_entry(serial_slp, s_node),
-            proc_eval.node_entry(proc_slp, p_node),
-        )
-    bench(lambda: warm("process"), rounds=1)
-    bench.record(
-        documents=len(texts),
-        serial_seconds=serial_s,
-        process_seconds=process_s,
-        fresh_entries=proc_fresh,
-    )

@@ -37,7 +37,7 @@ Subcommands
     python -m repro db store.slpdb add logs "error at line 3"
     python -m repro db store.slpdb edit head 'extract(doc(logs),1,6)'
     python -m repro db store.slpdb query '!x{[a-z]+}' logs --deadline 2.0
-    python -m repro db store.slpdb bulk '!x{[a-z]+}' logs head --backend process
+    python -m repro db store.slpdb bulk '!x{[a-z]+}' logs head
     python -m repro db store.slpdb text head
     python -m repro db store.slpdb ls
     python -m repro db store.slpdb stats
@@ -48,8 +48,7 @@ All ``db`` subcommands accept ``--deadline SECONDS``, ``--max-steps N``,
 and ``--max-bytes N`` resource-governance flags; exceeding a limit exits
 with a typed error instead of hanging.  ``--trace FILE`` switches
 :mod:`repro.obs` on and writes the operation's spans/events as JSONL to
-FILE (process-backend runs add one ``FILE.w<pid>.jsonl`` per pool
-worker); the ``metrics`` action runs the store open (including any
+FILE; the ``metrics`` action runs the store open (including any
 journal recovery) under observability and prints the metrics registry —
 ``--format json`` for the raw snapshot, ``--format prom`` for Prometheus
 text exposition.
@@ -278,12 +277,7 @@ def _run_db_action(args) -> int:
         if len(args.operands) < 2:
             raise SystemExit("usage: db STORE bulk PATTERN DOCUMENT [DOCUMENT ...]")
         store.register_spanner("__cli__", args.operands[0], budget)
-        relations = store.query_bulk(
-            "__cli__",
-            args.operands[1:],
-            backend=args.backend,
-            budget=budget,
-        )
+        relations = store.query_bulk("__cli__", args.operands[1:], budget=budget)
         for name, relation in relations.items():
             for tup in relation:
                 print(f"{name}\t{tup}")
@@ -661,17 +655,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     db.add_argument("operands", nargs="*", help="action-specific operands")
     db.add_argument(
-        "--backend",
-        choices=["auto", "process", "serial"],
-        default="auto",
-        help="bulk: repro.parallel backend (auto = serial on this thread;"
-        " process = the crash-isolated worker-process pool)",
-    )
-    db.add_argument(
         "--trace", default=None, metavar="FILE",
-        help="enable repro.obs and write the operation's trace as JSONL"
-        " (process-backend runs add one FILE.w<pid>.jsonl per pool worker;"
-        " merge them with `obs stitch`)",
+        help="enable repro.obs and write the operation's trace as JSONL",
     )
     db.add_argument(
         "--format",

@@ -123,11 +123,9 @@ class SpannerDB:
     def __init__(self) -> None:
         self._db = DocumentDatabase(SLP())
         self._spanners: dict[str, SLPSpannerEvaluator] = {}
-        #: regex source text per spanner registered from a string — what
-        #: the process backend ships to workers so they can compile their
-        #: own (deterministic, hence bit-identical) evaluator; spanners
-        #: registered from automaton objects have no entry and run
-        #: serially even under ``backend="process"``
+        #: regex source text per spanner registered from a string, so the
+        #: query language can inline a stored spanner by name as a regex
+        #: atom (spanners registered from automaton objects have no entry)
         self._spanner_sources: dict[str, str] = {}
         #: attached journal file (set by save/open); None = not persistent
         self._journal_path: str | None = None
@@ -454,68 +452,34 @@ class SpannerDB:
                     _budget_event("query_expr", exc, budget)
                 raise
 
-    def query_bulk(
-        self,
-        spanner: str,
-        documents,
-        *,
-        backend: str = "auto",
-        budget=None,
-    ) -> dict:
+    def query_bulk(self, spanner: str, documents, *, budget=None) -> dict:
         """Evaluate *spanner* on many stored documents at once.
 
-        One spanner lookup is amortised across the whole batch, and the
-        per-document matrix preprocessing runs through
-        :func:`repro.parallel.preprocess_bulk`.  The final relations are
-        materialised serially from the warmed cache.
+        One spanner lookup, one ``db.query_bulk`` span and one shared
+        :class:`~repro.util.Budget` cover the whole batch.  There is no
+        preprocessing left to spread over workers: :meth:`add_document`,
+        :meth:`edit` and :meth:`register_spanner` preprocess and seal
+        every stored root for every registered spanner, so each document
+        here only enumerates.
 
-        *backend* is ``"auto"`` by default, which runs the batch serially
-        on this thread: on the measured hosts the process pool made bulk
-        warm-up slower, not faster (see ``docs/PERFORMANCE.md``).
-        ``"process"`` asks for the crash-isolated pool (the arena ships
-        as a shared-memory snapshot and workers compile the spanner from
-        its source — bit-identical matrices); ``"serial"`` is explicit.
-
-        Returns ``{document: SpanRelation}`` in input order.  Results are
-        identical to calling :meth:`evaluate` per document — the
-        differential test suite asserts this for both backends.  A shared
-        :class:`~repro.util.Budget` governs the whole batch, fan-out
-        included."""
-        from repro.parallel import preprocess_bulk
-
+        Returns ``{document: SpanRelation}`` in input order, identical to
+        calling :meth:`evaluate` per document (the differential test suite
+        asserts this)."""
         names = list(documents)
         evaluator = self._evaluator(spanner)
-        nodes = [self._db.node(name) for name in names]
-        # the fallback admission point: a bulk query arriving outside
-        # repro.serve still gets a trace id, so worker-side spans stitch
-        # under this request even without the service layer
-        ctx = None
-        if obs.enabled() and obs.current_context() is None:
-            ctx = obs.new_trace()
-        with obs.use_context(ctx), obs.tracer().span(
-            "db.query_bulk", spanner=spanner, documents=len(names)
-        ) as span:
+        with obs.tracer().span("db.query_bulk", spanner=spanner, documents=len(names)):
             try:
-                fresh = preprocess_bulk(
-                    evaluator,
-                    self.slp,
-                    nodes,
-                    backend=backend,
-                    budget=budget,
-                    source=self._spanner_sources.get(spanner),
-                )
                 relations = {
-                    name: evaluator.evaluate(self.slp, node, budget)
-                    for name, node in zip(names, nodes)
+                    name: evaluator.evaluate(self.slp, self._db.node(name), budget)
+                    for name in names
                 }
-                if obs.enabled():
-                    span.attrs["fresh_matrices"] = fresh
-                    obs.metrics().counter("db.query_bulk").inc()
-                return relations
             except _BUDGET_ERRORS as exc:
                 if obs.enabled():
                     _budget_event("query_bulk", exc, budget)
                 raise
+            if obs.enabled():
+                obs.metrics().counter("db.query_bulk").inc()
+            return relations
 
     # ------------------------------------------------------------------
     # editing (the dynamic setting of [40])

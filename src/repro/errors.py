@@ -282,8 +282,9 @@ class PoolExhaustedError(ParallelError, RuntimeError):
 
     Admission-control shaped, like :class:`OverloadedError` one layer
     down: the pool refuses to queue unboundedly behind busy workers.
-    :mod:`repro.serve` converts this into an :class:`OverloadedError`
-    with a ``retry_after`` hint.
+    :func:`repro.parallel.document_matrices` raises it to a caller that
+    asked for ``backend="process"`` explicitly; ``"auto"`` folds serially
+    instead.
 
     Attributes
     ----------

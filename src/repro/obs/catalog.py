@@ -48,8 +48,7 @@ METRIC_NAMES = frozenset(
         "kernels.plan_cache.hits",
         "kernels.plan_cache.misses",
         "kernels.plan_cache.over_budget",
-        # parallel (thread + process backends)
-        "parallel.bulk_fresh",
+        # parallel (serial + process backends)
         "parallel.degraded",
         "parallel.fanout_ns",
         "parallel.fold_ns",
@@ -85,7 +84,6 @@ METRIC_NAMES = frozenset(
         "serve.exec_ns",
         "serve.failed",
         "serve.mutation_failures",
-        "serve.pool_exhausted",
         "serve.queue_depth",
         "serve.queue_ns",
         "serve.retries",

@@ -2,7 +2,7 @@
 
 A :class:`TraceContext` names one *logical request* — a trace id minted
 once at the request's admission point (``repro.serve`` admission, or
-``SpannerDB.query_bulk`` entry as the fallback) — plus the coordinates a
+:func:`repro.parallel.document_matrices` entry as the fallback) — plus the coordinates a
 *child process* needs to hang its spans under the parent's tree: the
 parent's currently-open span id and the parent's process label.
 

@@ -1,4 +1,4 @@
-"""Shard-parallel evaluation backend and bulk query machinery.
+"""Shard-parallel evaluation of one large plain-text document.
 
 The ``(σ, T, T_em)`` algebra that powers compressed spanner evaluation
 (Schmid & Schweikardt [39]) is associative, which makes plain-text
@@ -20,11 +20,7 @@ This package provides
   created only by the parent and unlinked on success, failure, and
   interpreter exit alike;
 * the entry points (:mod:`repro.parallel.api`):
-  :func:`document_matrices` / :func:`is_nonempty_text` for one large
-  document, :func:`preprocess_bulk` for warming many stored documents —
-  the layer under :meth:`SpannerDB.query_bulk
-  <repro.db.SpannerDB.query_bulk>` and the batched request type of
-  :mod:`repro.serve`.
+  :func:`document_matrices` / :func:`is_nonempty_text`.
 
 Every entry is bit-for-bit equal across backends, worker counts, and
 shard splits; the differential test suite asserts this against the SLP
@@ -35,7 +31,6 @@ from repro.parallel.api import (
     as_evaluator,
     document_matrices,
     is_nonempty_text,
-    preprocess_bulk,
     process_breaker,
     resolve_backend,
 )
@@ -86,7 +81,6 @@ __all__ = [
     "is_nonempty_text",
     "live_segments",
     "pool_stats",
-    "preprocess_bulk",
     "process_breaker",
     "reduce_stack",
     "resolve_backend",

@@ -1,32 +1,25 @@
 """Shard-parallel evaluation: the public entry points.
 
-Two fan-out shapes, both built on the associative ``(σ, T, T_em)``
-algebra of :mod:`repro.parallel.fold`:
+:func:`document_matrices` splits one plain-text document into balanced
+shards, folds each shard with the associative ``(σ, T, T_em)`` algebra of
+:mod:`repro.parallel.fold` (in a loop on the calling thread, or on a pool
+worker), and folds the shard entries on the calling thread.  The result
+is bit-for-bit the entry ``preprocess`` would compute for the same
+document's SLP; :func:`is_nonempty_text` answers non-emptiness from it
+without enumeration.
 
-* **within one document** — :func:`document_matrices` splits a plain-text
-  document into balanced shards, folds each shard (in a loop on the
-  calling thread, or on a pool worker), and folds the shard entries on
-  the calling thread.  The result is bit-for-bit the entry
-  ``preprocess`` would compute for the same document's SLP;
-  :func:`is_nonempty_text` answers non-emptiness from it without
-  enumeration.
-* **across documents** — :func:`preprocess_bulk` warms one evaluator's
-  node matrices for many stored documents: serially, one
-  :meth:`~repro.slp.SLPSpannerEvaluator.preprocess` per document; on the
-  pool, workers compute the entries the caller lacks and they merge on
-  the calling thread afterwards.  :meth:`SpannerDB.query_bulk
-  <repro.db.SpannerDB.query_bulk>` and the batched request type of
-  :mod:`repro.serve` sit on top.
+It accepts ``"serial"`` (the calling thread), ``"process"`` (the
+supervised pool of :mod:`repro.parallel.procpool`) and ``"auto"``.  For
+the ``"process"`` backend the fan-out changes vehicle, not value: inputs
+ship through :mod:`repro.parallel.shm` (character-index arrays and
+per-character entry stacks), workers fold them with
+:func:`~repro.parallel.fold.indexed_entry` — the *same code* the serial
+path runs — and the folded entries come back bit-for-bit identical.
 
-Both accept ``"serial"`` (the calling thread), ``"process"`` (the
-supervised pool of :mod:`repro.parallel.procpool`) and ``"auto"``.
-For the ``"process"`` backend the fan-out changes vehicle, not value:
-inputs ship through :mod:`repro.parallel.shm` (character-index arrays,
-per-character entry stacks, SLP arena snapshots), workers of the
-supervised :mod:`repro.parallel.procpool` compute against them, and the
-folded entries come back bit-for-bit identical to the serial path — the
-worker-side kernels (:func:`~repro.parallel.fold.indexed_entry`, the SLP
-wave computation) are the *same code* operating on the same values.
+There is no bulk fan-out over stored documents: a :class:`~repro.db.SpannerDB`
+preprocesses and seals every stored root for every registered spanner
+when the document or spanner arrives, so a bulk query only enumerates
+(:meth:`SpannerDB.query_bulk <repro.db.SpannerDB.query_bulk>` is a loop).
 
 ``"auto"`` resolution and graceful degradation live in
 :func:`resolve_backend` and the module's process-path circuit breaker: a
@@ -36,15 +29,14 @@ enough consecutive crashes open the breaker and ``"auto"`` stops
 choosing the process backend until it recovers.
 :class:`~repro.errors.PoolExhaustedError` degrades only under
 ``"auto"`` — a caller that asked for ``"process"`` explicitly gets the
-typed backpressure signal (:mod:`repro.serve` turns it into
-:class:`~repro.errors.OverloadedError`).
+typed backpressure signal.
 
 Shard fan-out and fold timings are recorded through :mod:`repro.obs`
-(``parallel.document_matrices`` / ``parallel.preprocess_bulk`` spans, and
-``parallel.shards`` / ``parallel.fanout_ns`` / ``parallel.fold_ns`` /
-``parallel.degraded`` counters) so worker sizing can be tuned from
-traces instead of guesses — see ``docs/PERFORMANCE.md`` for the sizing
-guidance and ``docs/RELIABILITY.md`` for the supervision runbook.
+(the ``parallel.document_matrices`` span, and ``parallel.shards`` /
+``parallel.fanout_ns`` / ``parallel.fold_ns`` / ``parallel.degraded``
+counters) so worker sizing can be tuned from traces instead of guesses —
+see ``docs/PERFORMANCE.md`` for the sizing guidance and
+``docs/RELIABILITY.md`` for the supervision runbook.
 """
 
 from __future__ import annotations
@@ -70,13 +62,13 @@ from repro.parallel.fold import (
 from repro.parallel.procpool import ProcCall, default_workers, get_pool, usable_cores
 from repro.parallel.shm import SegmentRegistry, attached_job
 from repro.slp.spanner_eval import SLPSpannerEvaluator
+from repro.util.breaker import CircuitBreaker
 from repro.util.budget import Budget, Deadline
 
 __all__ = [
     "as_evaluator",
     "document_matrices",
     "is_nonempty_text",
-    "preprocess_bulk",
     "process_breaker",
     "resolve_backend",
 ]
@@ -96,13 +88,11 @@ def process_breaker():
 
     Worker crashes record failures; enough consecutive ones open it and
     :func:`resolve_backend` answers ``"serial"`` until the half-open
-    probe succeeds.  Exposed so tests and the serve layer can inspect or
-    reset degradation state."""
+    probe succeeds.  Exposed so tests can inspect or reset degradation
+    state."""
     global _breaker
     with _breaker_lock:
         if _breaker is None:
-            from repro.serve.breaker import CircuitBreaker
-
             _breaker = CircuitBreaker(failure_threshold=3, reset_after=5.0)
         return _breaker
 
@@ -117,9 +107,7 @@ def resolve_backend(backend: str = "auto", *, size_hint_chars: int | None = None
     ``docs/PERFORMANCE.md`` shows it paying off: a single-document fold
     (*size_hint_chars* given) of at least ``_PROCESS_MIN_CHARS``
     characters, on at least two usable cores (affinity-aware), with the
-    process breaker closed.  Everything else — bulk warm-up, which passes
-    no size hint and measured slower on the pool than serially — is
-    ``"serial"``."""
+    process breaker closed.  Everything else is ``"serial"``."""
     if backend not in _BACKENDS:
         raise ParallelError(
             f"unknown parallel backend {backend!r}; expected one of {_BACKENDS}"
@@ -264,7 +252,10 @@ def document_matrices(
     # distinct chars resolve through the store's lock exactly once, here
     table = evaluator.char_entries(text)
     observing = obs.enabled()
-    with obs.tracer().span(
+    # the fallback admission point: a fold arriving with no active trace
+    # gets an id here, so worker-side spans stitch under this call
+    ctx = obs.new_trace() if observing and obs.current_context() is None else None
+    with obs.use_context(ctx), obs.tracer().span(
         "parallel.document_matrices",
         chars=len(text),
         shards=len(spans),
@@ -409,187 +400,3 @@ def is_nonempty_text(spanner, text: str, **kwargs) -> bool:
     return evaluator.entry_is_nonempty(
         document_matrices(evaluator, text, **kwargs)
     )
-
-
-# ----------------------------------------------------------------------
-# across documents
-# ----------------------------------------------------------------------
-def preprocess_bulk(
-    evaluator: SLPSpannerEvaluator,
-    slp,
-    nodes,
-    *,
-    backend: str = "serial",
-    budget=None,
-    source: str | None = None,
-) -> int:
-    """Warm *evaluator*'s matrices for several documents.
-
-    ``"serial"`` (and ``"auto"``, which resolves to it) runs one
-    :meth:`~repro.slp.SLPSpannerEvaluator.preprocess` per document on the
-    calling thread; each merges and seals its document, so documents
-    later in the batch reuse the subtrees they share with earlier ones.
-
-    ``"process"`` additionally needs *source* — the spanner's regex text
-    — because workers rebuild their own evaluator from it via their local
-    plan cache (determinisation is deterministic, so the worker's
-    matrices are bit-identical); the arena ships once as a digest-keyed
-    snapshot through shared memory, and the shipped entries merge on the
-    calling thread.  Without a source it degrades to ``"serial"``.
-
-    Returns the number of fresh entries adopted."""
-    nodes = list(nodes)
-    requested = backend
-    backend = resolve_backend(backend)
-    if backend == "process" and source is None:
-        _record_degraded("unshippable")
-        backend = "serial"
-    with obs.tracer().span(
-        "parallel.preprocess_bulk", documents=len(nodes), backend=backend
-    ):
-        observing = obs.enabled()
-        t0 = time.perf_counter_ns() if observing else 0
-        shipped = None
-        if backend == "process":
-            shipped = _try_process(
-                requested,
-                lambda: _preprocess_bulk_process(evaluator, source, slp, nodes, budget),
-            )
-        if shipped is None:
-            fresh = sum(evaluator.preprocess(slp, node, budget) for node in nodes)
-        t1 = time.perf_counter_ns() if observing else 0
-        if shipped is not None:
-            fresh = sum(evaluator.merge_entries(slp, entries) for entries in shipped)
-            # seal each document root so repeat queries — and the discovery
-            # walks of any later documents sharing these subtrees — skip them
-            for node in nodes:
-                evaluator.seal_subtree(slp, node)
-        if observing:
-            registry = obs.metrics()
-            registry.counter("parallel.fanout_ns").inc(t1 - t0)
-            registry.counter("parallel.fold_ns").inc(
-                time.perf_counter_ns() - t1
-            )
-            registry.counter("parallel.bulk_fresh").inc(fresh)
-            registry.histogram("parallel.phase.fanout_ns").record(t1 - t0)
-            registry.histogram("parallel.phase.fold_ns").record(
-                time.perf_counter_ns() - t1
-            )
-    return fresh
-
-
-def _preprocess_bulk_process(evaluator, source: str, slp, nodes, budget):
-    """Fan per-document wave computations out to worker processes.
-
-    Ships the arena once (three flat arrays in one segment, keyed by
-    content digest so workers can cache the rebuilt SLP across requests),
-    the *parent evaluator's* cached node ids (so workers know which
-    entries this caller actually lacks — long-lived workers keep warm
-    caches of their own, and worker-side freshness says nothing about
-    parent-side freshness), and one :class:`ProcCall` per document node.
-    Workers return every requested entry keyed by node id — node ids
-    survive the round-trip verbatim because
-    :meth:`~repro.slp.SLP.from_arena` preserves them — so the parent
-    merges them into its own arena's entries as they are."""
-    snapshot = slp.arena_snapshot()
-    spec = _budget_spec(budget)
-    have = np.array(sorted(evaluator.cached_node_ids(slp)), dtype=np.int64)
-    with SegmentRegistry() as registry:
-        d_chars, d_left, d_right, d_have = registry.pack(
-            [snapshot["chars"], snapshot["left"], snapshot["right"], have]
-        )
-        trace_ctx = obs.child_context()
-        calls = [
-            ProcCall(
-                "repro.parallel.api:_preprocess_doc_task",
-                (
-                    source,
-                    snapshot["digest"],
-                    (d_chars, d_left, d_right),
-                    d_have,
-                    int(node),
-                    spec,
-                ),
-                trace=trace_ctx,
-            )
-            for node in nodes
-        ]
-        deadline = budget.deadline if budget is not None else None
-        raw = get_pool().run(calls, deadline=deadline)
-    _charge_worker_steps(budget, sum(steps for _, steps in raw))
-    return [
-        {
-            node: (
-                sigma,
-                BitMatrix(t_rows, len(sigma)),
-                BitMatrix(t_em_rows, len(sigma)),
-            )
-            for node, (sigma, t_rows, t_em_rows) in entries.items()
-        }
-        for entries, _ in raw
-    ]
-
-
-#: worker-side cache of rebuilt arenas, keyed by content digest; bounded
-#: — old entries drop (and their evaluator matrices purge via the arena
-#: finalizer) once enough different snapshots have been seen
-_ARENA_CACHE: dict[str, object] = {}
-_ARENA_CACHE_LIMIT = 4
-
-
-def _worker_arena(digest: str, arena_descrs):
-    slp = _ARENA_CACHE.get(digest)
-    if slp is None:
-        from repro.slp.slp import SLP
-
-        with attached_job() as job:
-            d_chars, d_left, d_right = arena_descrs
-            # from_arena copies into Python lists, so nothing outlives
-            # the attachment
-            slp = SLP.from_arena(
-                job.array(d_chars), job.array(d_left), job.array(d_right)
-            )
-        while len(_ARENA_CACHE) >= _ARENA_CACHE_LIMIT:
-            _ARENA_CACHE.pop(next(iter(_ARENA_CACHE)))
-        _ARENA_CACHE[digest] = slp
-    return slp
-
-
-def _preprocess_doc_task(
-    source: str, digest: str, arena_descrs, d_have, node: int, budget_spec
-):
-    """Worker side of :func:`_preprocess_bulk_process`: ensure entries for
-    every node reachable from *node* exist in the worker's own evaluator
-    (compiled from *source* through the worker's plan cache —
-    deterministic, hence bit-identical matrices) and ship every entry the
-    *parent* lacks, keyed by plain node id.
-
-    Shipping is keyed off the parent's cached-node set (*d_have*), not
-    worker-side freshness: a long-lived worker whose digest-keyed arena
-    and plan-cache evaluator already hold these entries computes nothing
-    fresh, and shipping only fresh entries would leave a colder parent —
-    a second evaluator over the same source, or a re-registration after
-    rollback to identical arena content — silently unwarmed."""
-    from repro.kernels.plan import plan_cache
-
-    slp = _worker_arena(digest, arena_descrs)
-    evaluator = plan_cache().get_or_compile(source).evaluator
-    budget = _budget_from_spec(budget_spec)
-    fresh_entries = evaluator.compute_entries(slp, node, budget)
-    # warm the worker's own cache too: later documents in this batch that
-    # share subtrees then skip recomputation, like the serial path does —
-    # and seal, so repeat requests against a warm worker walk nothing
-    evaluator.merge_entries(slp, fresh_entries)
-    evaluator.seal_subtree(slp, node)
-    with attached_job() as job:
-        parent_has = set(job.array(d_have).tolist())
-    # the parent's cached set is closed under descendants (insertions are
-    # bottom-up closures, invalidation is an id suffix), so the shipping
-    # walk can stop at any node the parent already has instead of walking
-    # the whole subtree and filtering
-    shipped = {}
-    to_ship, _skipped = slp.frontier(node, parent_has)
-    for node_id in to_ship:
-        sigma, t, t_em = evaluator.node_entry(slp, node_id)
-        shipped[node_id] = (sigma, t.rows, t_em.rows)
-    return shipped, (budget.steps if budget is not None else 0)

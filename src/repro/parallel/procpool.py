@@ -30,9 +30,7 @@ Supervision contract (what :class:`ProcPool.run` guarantees):
   :class:`~repro.errors.DeadlineExceededError` is raised;
 * **admission control** — workers are *checked out* exclusively per
   request; when none are idle, :class:`~repro.errors.PoolExhaustedError`
-  (with a ``retry_after`` hint) is raised instead of queueing unboundedly
-  — :mod:`repro.serve` converts it into an
-  :class:`~repro.errors.OverloadedError`.
+  (with a ``retry_after`` hint) is raised instead of queueing unboundedly.
 
 Worker processes run :func:`_worker_main`: a recv/execute/send loop over
 a dedicated duplex pipe.  One pipe per worker (never a shared queue) is

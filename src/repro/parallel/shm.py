@@ -5,7 +5,7 @@ cannot share numpy arrays the way threads do, and pickling dense
 mirrors through pipes would erase the win the workers exist for.  This
 module moves the packed buffers — character-code arrays, per-character
 ``(σ, T, T_em)`` stacks, :class:`~repro.kernels.bitmat.BitMatrix` /
-``PackedVec`` words, serialized SLP arenas — through
+``PackedVec`` words — through
 ``multiprocessing.shared_memory`` instead: the parent lays every input
 array and every preallocated result slot out in **one segment per
 request**, workers attach, compute, and write results in place, and the

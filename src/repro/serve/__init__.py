@@ -38,7 +38,6 @@ zero wrong answers, zero hangs, and bounded shed rates; see
 ``docs/RELIABILITY.md`` for the serving runbook.
 """
 
-from repro.serve.breaker import CircuitBreaker
 from repro.serve.coordination import RWLock, StoreCoordinator
 from repro.serve.retry import RetryBudget, RetryPolicy
 from repro.serve.service import (
@@ -51,6 +50,7 @@ from repro.serve.service import (
     serve_queries,
 )
 from repro.serve.stream_session import StreamSession, StreamSessionConfig
+from repro.util.breaker import CircuitBreaker
 
 __all__ = [
     "BulkQueryResult",

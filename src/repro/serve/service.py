@@ -19,7 +19,7 @@ The request path, end to end:
    without doing any work.
 3. **Execution.**  A worker evaluates on the SLP-compressed path under
    the coordinator's read lock, under
-   :meth:`CircuitBreaker.guard <repro.serve.breaker.CircuitBreaker.guard>`.  Transient failures
+   :meth:`CircuitBreaker.guard <repro.util.breaker.CircuitBreaker.guard>`.  Transient failures
    (injected faults, step budgets hit on a cold cache) are retried with
    seeded exponential backoff while the service-wide
    :class:`~repro.serve.retry.RetryBudget` lasts.
@@ -59,17 +59,14 @@ from repro.errors import (
     EvaluationLimitError,
     FaultInjectedError,
     MemoryLimitError,
-    OverloadedError,
-    PoolExhaustedError,
     ServiceStoppedError,
     SpanlibError,
 )
 from repro.kernels.plan import plan_cache
-from repro.parallel.procpool import pool_stats
 from repro.serve.admission import Admission, RetryAfterHint
-from repro.serve.breaker import CircuitBreaker
 from repro.serve.coordination import StoreCoordinator
 from repro.serve.retry import RetryBudget, RetryPolicy
+from repro.util.breaker import CircuitBreaker
 from repro.util.budget import Budget, Deadline
 
 __all__ = [
@@ -239,7 +236,6 @@ class SpannerService:
             "retries": 0,
             "mutations": 0,
             "mutation_failures": 0,
-            "pool_exhausted": 0,
         }
         #: recent per-request service times (ns), for p50/p99 and the
         #: retry-after hint; bounded so a long-lived service stays O(1)
@@ -314,28 +310,20 @@ class SpannerService:
         *,
         deadline: float | Deadline | None = None,
         max_steps: int | None = None,
-        backend: str = "auto",
     ) -> Ticket:
         """Enqueue one *batch* of queries over many stored documents.
-
-        *backend* defaults to ``"auto"``, which preprocesses the batch
-        serially on the service worker (see
-        :func:`repro.parallel.resolve_backend`); ``"process"`` ships it to
-        the crash-isolated process pool.  An explicit ``"process"`` that
-        finds the pool fully checked out surfaces as
-        :class:`~repro.errors.OverloadedError` with a ``retry_after``
-        hint, exactly like an admission-queue shed.
 
         The batch occupies a single admission slot (shedding whole batches
         keeps the retry-after hint honest under overload), shares one
         deadline and step budget, and amortises the spanner lookup and
         plan-cache hit across every document through
         :meth:`SpannerDB.query_bulk <repro.db.SpannerDB.query_bulk>`.  The
-        degraded attempt evaluates each document decompressed.  The ticket resolves to a :class:`BulkQueryResult`."""
+        degraded attempt evaluates each document decompressed.  The ticket
+        resolves to a :class:`BulkQueryResult`."""
         documents = list(documents)
 
         def compressed(db, budget):
-            relations = db.query_bulk(spanner, documents, backend=backend, budget=budget)
+            relations = db.query_bulk(spanner, documents, budget=budget)
             return {name: list(relation) for name, relation in relations.items()}
 
         return self._submit(
@@ -419,8 +407,7 @@ class SpannerService:
         )
         if obs.enabled():
             # admission is *the* minting point: every span this request
-            # produces — in the worker thread, in pool worker processes —
-            # carries this id, and `obs stitch` reassembles them by it
+            # produces in the worker thread carries this id
             request.trace_ctx = obs.new_trace()
         self._count("submitted")
         try:
@@ -450,16 +437,11 @@ class SpannerService:
         *,
         deadline: float | Deadline | None = None,
         max_steps: int | None = None,
-        backend: str = "auto",
         timeout: float | None = 30.0,
     ) -> BulkQueryResult:
         """Synchronous convenience: :meth:`submit_bulk` + :meth:`Ticket.result`."""
         return self.submit_bulk(
-            spanner,
-            documents,
-            deadline=deadline,
-            max_steps=max_steps,
-            backend=backend,
+            spanner, documents, deadline=deadline, max_steps=max_steps
         ).result(timeout)
 
     # ------------------------------------------------------------------
@@ -556,19 +538,6 @@ class SpannerService:
                             "compressed evaluation tripped and degradation is disabled"
                         )
                     return self._attempt_decompressed(request), True, attempt
-            except PoolExhaustedError as exc:
-                # an explicitly requested process backend found every
-                # pool worker checked out: backpressure, one layer down.
-                # Surface it in the service's own vocabulary so clients
-                # see a single overload signal with a usable hint.
-                self._count("pool_exhausted")
-                retry_after = max(exc.retry_after, self._admission.retry_after())
-                if obs.enabled():
-                    obs.metrics().counter("serve.pool_exhausted").inc()
-                raise OverloadedError(
-                    f"process pool exhausted; retry after {retry_after:.3f}s",
-                    retry_after=retry_after,
-                ) from exc
             except SpanlibError as exc:
                 if not _is_transient(exc):
                     raise
@@ -662,9 +631,6 @@ class SpannerService:
             "retry_budget": self.retry_budget.stats(),
             "lock": self.coordinator.lock.stats(),
             "plan_cache": plan_cache().stats(),
-            # with telemetry harvest folding worker deltas into this
-            # process's registry, these are true cross-process totals
-            "process_pool": pool_stats(),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

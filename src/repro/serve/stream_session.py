@@ -18,7 +18,7 @@ concurrently:
   reconciles the frontier);
 * **circuit-broken rebuild fallback** — fault or differential-guard
   failures on the incremental-append path count against an internal
-  :class:`~repro.serve.breaker.CircuitBreaker` (settled through its
+  :class:`~repro.util.breaker.CircuitBreaker` (settled through its
   ``guard``); once it opens, windows go
   through :meth:`~repro.stream.WindowedSpannerStream.rebuild` (correct
   but O(n)) until probes show the incremental path healthy again;
@@ -58,13 +58,13 @@ from repro.errors import (
     WindowOverrunError,
 )
 from repro.serve.admission import Admission
-from repro.serve.breaker import CircuitBreaker
 from repro.stream.windowed import (
     StreamConfig,
     WindowResult,
     WindowedSpannerStream,
     record_window_metrics,
 )
+from repro.util.breaker import CircuitBreaker
 from repro.util.budget import Deadline
 from repro.util.faults import FeedChaos
 

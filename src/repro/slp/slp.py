@@ -155,71 +155,6 @@ class SLP:
         self._pairs = {key: n for key, n in self._pairs.items() if n < mark}
         return discarded
 
-    # ------------------------------------------------------------------
-    # arena shipping (the process backend)
-    # ------------------------------------------------------------------
-    def arena_snapshot(self) -> dict:
-        """The arena as three flat int64 arrays plus a content digest.
-
-        ``chars[i]`` is the code point of terminal *i* (or −1 for a pair
-        node), ``left``/``right`` are child ids (−1 for terminals).
-        Lengths and orders are deliberately *not* shipped — SLPs can
-        derive documents of astronomically exponential length, so those
-        are arbitrary-precision ints that :meth:`from_arena` recomputes
-        instead.  The digest keys worker-side arena caches: it hashes
-        content, not identity, so a :meth:`truncate` rollback that reuses
-        node ids can never alias a stale cached arena."""
-        import hashlib
-
-        import numpy as np
-
-        chars = np.array(
-            [-1 if ch is None else ord(ch) for ch in self._char],
-            dtype=np.int64,
-        )
-        left = np.array(self._left, dtype=np.int64)
-        right = np.array(self._right, dtype=np.int64)
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(chars.tobytes())
-        digest.update(left.tobytes())
-        digest.update(right.tobytes())
-        return {
-            "chars": chars,
-            "left": left,
-            "right": right,
-            "digest": digest.hexdigest(),
-        }
-
-    @classmethod
-    def from_arena(cls, chars, left, right) -> "SLP":
-        """Rebuild an arena from :meth:`arena_snapshot` arrays.
-
-        Node ids are preserved exactly (position *is* identity), so entry
-        keys computed against the rebuilt arena transfer to the original
-        by id.  The rebuilt SLP has its own process-unique serial."""
-        slp = cls()
-        for index in range(len(chars)):
-            code = int(chars[index])
-            if code >= 0:
-                slp._new_node(chr(code), -1, -1, 1, 1)
-                slp._terminals[chr(code)] = index
-            else:
-                lhs, rhs = int(left[index]), int(right[index])
-                if not (0 <= lhs < index and 0 <= rhs < index):
-                    raise SLPError(
-                        f"arena snapshot node {index} references children"
-                        f" ({lhs}, {rhs}) not allocated before it"
-                    )
-                slp._new_node(
-                    None,
-                    lhs,
-                    rhs,
-                    slp._length[lhs] + slp._length[rhs],
-                    max(slp._order[lhs], slp._order[rhs]) + 1,
-                )
-                slp._pairs[(lhs, rhs)] = index
-        return slp
-
     def from_text(self, text: str) -> int:
         """A balanced parse of *text* (no compression beyond sharing).
 

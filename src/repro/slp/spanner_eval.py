@@ -220,11 +220,14 @@ class SLPSpannerEvaluator:
         walk, and an unsealed root's discovery walk stops at sealed
         children — after a CDE edit or append (which only allocate fresh
         arena nodes) the walk visits O(fresh + log n) nodes, never the
-        whole document.  The serial path of
-        :func:`repro.parallel.preprocess_bulk` is one call per document;
-        its process path runs the wave computation on pool workers
-        (:meth:`compute_entries`) and adopts the shipped entries through
-        :meth:`merge_entries` and :meth:`seal_subtree`.
+        whole document.
+
+        Fresh pair nodes are grouped into *waves* of equal depth (all
+        operands already computed) and each wave's products run as one
+        batched, duplicate-collapsing kernel call —
+        :func:`repro.kernels.bitmat.bool_mm_many`.  Only ``T_em`` is ever
+        multiplied: ``T = T_em ∪ σ`` recovers the full reachability matrix
+        as a word-level union.
 
         With :mod:`repro.obs` enabled, cache effectiveness
         (``slp.eval.cache_hits`` / ``slp.eval.cache_misses``), discovery
@@ -242,8 +245,20 @@ class SLPSpannerEvaluator:
                 registry.counter("slp.eval.cache_hits").inc()
             return 0
         t0 = time.perf_counter_ns() if observing else 0
-        fresh_entries, walked, skipped = self._compute_frontier(
-            slp, node, budget
+        # One intern pool per pass: node matrices that come out equal
+        # (different subtrees, same behaviour) become one object, so the
+        # identity grouping inside bool_mm_many collapses every later
+        # wave's repeated products.  Likewise nodes with identical
+        # (σ, T, T_em) share one tuple object, which is what makes the
+        # node-level grouping collapse duplicate nodes in *later* waves.
+        intern: dict = {}
+        entry_pool: dict = {}
+        fresh_entries, walked, skipped = index.compute(
+            slp,
+            node,
+            self._char_tables_cache.get,
+            lambda operands, _wave: self._combine_wave(operands, intern, entry_pool),
+            budget,
         )
         fresh = index.merge(slp, fresh_entries)
         index.seal(slp, walked)
@@ -258,20 +273,9 @@ class SLPSpannerEvaluator:
             )
         return fresh
 
-    def merge_entries(self, slp: SLP, fresh_entries: dict) -> int:
-        """Adopt entries produced by :meth:`compute_entries`; returns how
-        many were actually added (keys another merge beat us to are kept
-        as-is — entries for one node are interchangeable pure values)."""
-        return self.index.merge(slp, fresh_entries)
-
     def seal_subtree(self, slp: SLP, node: int) -> bool:
         """Walk *node*'s unsealed frontier and seal every subtree whose
-        entries are fully cached; returns whether *node* itself is sealed.
-
-        The post-merge half of the process path of
-        :func:`repro.parallel.preprocess_bulk`: pool workers ship entries,
-        the caller merges them, then seals each document root so later
-        queries take the O(1) sealed path."""
+        entries are fully cached; returns whether *node* itself is sealed."""
         return self.index.seal_subtree(slp, node)
 
     def is_sealed(self, slp: SLP, node: int) -> bool:
@@ -281,47 +285,6 @@ class SLPSpannerEvaluator:
     def sealed_nodes(self, serial: int | None = None) -> int:
         """How many nodes are sealed, in one arena or overall."""
         return self.index.sealed_nodes(serial)
-
-    def compute_entries(self, slp: SLP, node: int, budget=None) -> dict:
-        """The wave computation of :meth:`preprocess`, as a pure function:
-        ``node -> (σ, T, T_em)`` (ids of *slp*) for every reachable node
-        not already cached.  The discovery walk skips sealed subtrees
-        wholesale, so on a warm cache it is O(fresh + log n), not O(n).
-
-        Nothing on the evaluator is mutated — the caller adopts the
-        result via :meth:`merge_entries`.  Process-pool workers of
-        :func:`repro.parallel.preprocess_bulk` run this per document.
-
-        Fresh pair nodes are grouped into *waves* of equal depth (all
-        operands already computed) and each wave's products run as one
-        batched, duplicate-collapsing kernel call —
-        :func:`repro.kernels.bitmat.bool_mm_many`.  Only ``T_em`` is ever
-        multiplied: ``T = T_em ∪ σ`` recovers the full reachability matrix
-        as a word-level union."""
-        return self._compute_frontier(slp, node, budget)[0]
-
-    def _compute_frontier(
-        self, slp: SLP, node: int, budget=None
-    ) -> tuple[dict, list[int], int]:
-        """:meth:`compute_entries` plus the walk itself:
-        ``(fresh_entries, walked, skipped)`` as
-        :meth:`ArenaIndex.compute <repro.slp.arena_index.ArenaIndex.compute>`
-        returns them."""
-        # One intern pool per pass: node matrices that come out equal
-        # (different subtrees, same behaviour) become one object, so the
-        # identity grouping inside bool_mm_many collapses every later
-        # wave's repeated products.  Likewise nodes with identical
-        # (σ, T, T_em) share one tuple object, which is what makes the
-        # node-level grouping collapse duplicate nodes in *later* waves.
-        intern: dict = {}
-        entry_pool: dict = {}
-        return self.index.compute(
-            slp,
-            node,
-            self._char_tables_cache.get,
-            lambda operands, _wave: self._combine_wave(operands, intern, entry_pool),
-            budget,
-        )
 
     def _combine_wave(
         self, operands: list[tuple], intern: dict, entry_pool: dict
@@ -372,13 +335,6 @@ class SLPSpannerEvaluator:
         """How many (SLP node → matrices) entries are cached, in one arena
         or overall."""
         return self.index.cached_nodes(serial)
-
-    def cached_node_ids(self, slp: SLP) -> list[int]:
-        """The node ids of *slp* whose ``(σ, T, T_em)`` entry is cached.
-        :func:`repro.parallel.preprocess_bulk` ships this set to
-        process-backend workers so they return exactly the entries this
-        evaluator lacks — however warm their own caches are."""
-        return self.index.cached_node_ids(slp)
 
     def node_entry(self, slp: SLP, node: int):
         """The cached ``(σ, T, T_em)`` entry for one node, or ``None``."""

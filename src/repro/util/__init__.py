@@ -1,5 +1,6 @@
-"""Utilities: workloads, budgets, fault injection, retry-after hints."""
+"""Utilities: workloads, budgets, faults, retry-after hints, breakers."""
 
+from repro.util.breaker import CircuitBreaker
 from repro.util.budget import Budget, Deadline
 from repro.util.retry_after import RetryAfterHint
 from repro.util.faults import (
@@ -23,6 +24,7 @@ from repro.util.workloads import (
 __all__ = [
     "Budget",
     "ChaosInjector",
+    "CircuitBreaker",
     "Deadline",
     "FeedChaos",
     "RetryAfterHint",

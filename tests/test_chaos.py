@@ -182,12 +182,11 @@ def run_bulk_chaos(
     delay_rate: float = 0.1,
     client_threads: int = 2,
     batches_per_thread: int = 6,
-    backend: str = "auto",
 ) -> dict:
     """One seeded chaos round through the *bulk* lane.
 
-    Concurrent clients drive :meth:`SpannerService.submit_bulk` on
-    *backend* while the injector fires faults inside the evaluator.  The batch contract under
+    Concurrent clients drive :meth:`SpannerService.submit_bulk` while
+    the injector fires faults inside the evaluator.  The batch contract under
     chaos: a batch resolves to either a complete, correct
     ``BulkQueryResult`` — every requested document present, every tuple
     matching the oracle — or one typed error.  Never a torn batch, never
@@ -220,7 +219,7 @@ def run_bulk_chaos(
             spanner = rng.choice(spanner_names)
             documents = rng.sample(doc_names, k=rng.randint(1, len(doc_names)))
             try:
-                ticket = service.submit_bulk(spanner, documents, backend=backend)
+                ticket = service.submit_bulk(spanner, documents)
             except OverloadedError:
                 continue  # shed is a legal answer under load
             try:
@@ -309,19 +308,10 @@ class TestChaosSmoke:
         assert stats["breaker"]["times_opened"] >= 1
         assert stats["degraded"] >= 1
 
-    @pytest.mark.parametrize(
-        "seed, backend",
-        [pytest.param(seed, "serial", id=str(seed)) for seed in range(40, 44)]
-        + [
-            pytest.param(seed, "process", id=f"{seed}-process")
-            for seed in range(40, 44)
-        ],
-    )
-    def test_bulk_lane_under_faults(self, seed, backend):
-        """The bulk contract holds at a 30% evaluator fault rate, on the
-        calling thread and on the worker-process pool (whose workers fork
-        from this multi-threaded process)."""
-        stats = run_bulk_chaos(seed, error_rate=0.3, delay_rate=0.1, backend=backend)
+    @pytest.mark.parametrize("seed", range(40, 44))
+    def test_bulk_lane_under_faults(self, seed):
+        """The bulk contract holds at a 30% evaluator fault rate."""
+        stats = run_bulk_chaos(seed, error_rate=0.3, delay_rate=0.1)
         assert stats["failed"] + stats["completed"] == stats["submitted"]
 
     def test_bulk_lane_fault_free_round_stays_clean(self):

@@ -7,9 +7,9 @@ The contract under test, end to end:
   histograms (property-tested: any split of a workload across workers
   and harvest boundaries yields the same totals as a single-process
   run), and last-writer-wins *per worker label* for gauges;
-* **trace stitching** — a process-backend ``query_bulk`` under tracing
-  leaves per-process JSONL files that all carry the request's trace id,
-  and ``stitch`` re-assembles them into one ordered tree;
+* **trace stitching** — a process-backend ``document_matrices`` under
+  tracing leaves per-process JSONL files that all carry the request's
+  trace id, and ``stitch`` re-assembles them into one ordered tree;
 * **crash flight recorder** — a SIGKILLed worker's last trace records
   survive in the parent-owned shm ring and surface on the
   ``worker.crash`` event, with the crash cause typed in ``stats()``;
@@ -33,8 +33,15 @@ from repro.obs import TraceContext, export_prometheus
 from repro.obs.harvest import HarvestState
 from repro.obs.metrics import Metrics, qualify
 from repro.obs.stitch import load_records, render_tree, stitch
-from repro.parallel import ProcCall, ProcPool, configure_pool, flight, live_segments, shutdown_pool
-from repro.parallel.procpool import pool_stats
+from repro.parallel import (
+    ProcCall,
+    ProcPool,
+    configure_pool,
+    document_matrices,
+    flight,
+    live_segments,
+    shutdown_pool,
+)
 from repro.parallel.shm import SegmentRegistry
 from repro.serve import ServeConfig, SpannerService
 from repro.util import Deadline, WorkerChaos
@@ -44,6 +51,7 @@ SLEEP = "repro.parallel.procpool:_task_sleep_ms"
 TELEMETRY = "tests.test_obs_cross_process:_task_record_telemetry"
 
 NAMES = ("alpha", "beta", "gamma")
+PATTERN = "(a|b)*!x{ab}(a|b)*"
 
 
 def _task_record_telemetry():
@@ -255,16 +263,15 @@ class TestCrossProcessTracing:
         db.register_spanner("s", "(a|b)*!x{ab}(a|b)*")
         return db
 
-    def test_process_bulk_query_stitches_into_one_tree(self, tmp_path):
-        """The acceptance scenario: process-backend ``query_bulk`` under a
-        file sink leaves parent + per-worker trace files sharing the
-        request's trace id, and ``stitch`` renders a single tree with the
-        worker spans nested inside it."""
+    def test_process_fold_stitches_into_one_tree(self, tmp_path):
+        """The acceptance scenario: a process-backend
+        ``document_matrices`` under a file sink leaves parent + per-worker
+        trace files sharing the call's trace id, and ``stitch`` renders a
+        single tree with the worker spans nested inside it."""
         configure_pool(workers=2)
         sink = tmp_path / "trace.jsonl"
         obs.configure(enabled=True, reset=True, sink=str(sink))
-        db = self._build_db()
-        db.query_bulk("s", ["one", "two", "three"], backend="process")
+        document_matrices(PATTERN, "ab" * 300, backend="process", shards=3)
         obs.configure(enabled=False)  # flush + detach the parent sink
 
         files = sorted(tmp_path.glob("trace.jsonl*"))
@@ -276,7 +283,7 @@ class TestCrossProcessTracing:
 
         roots = stitch(records, trace=trace_id)
         assert len(roots) == 1
-        assert roots[0]["record"]["name"] == "db.query_bulk"
+        assert roots[0]["record"]["name"] == "parallel.document_matrices"
         rendered = render_tree(roots)
         assert "proc.task" in rendered
         worker_procs = {
@@ -287,31 +294,24 @@ class TestCrossProcessTracing:
         assert "~ " not in rendered
 
     def test_untraced_entry_points_mint_a_fallback_trace(self):
-        """``db.query_bulk`` is the fallback admission point: with no
+        """``document_matrices`` is the fallback admission point: with no
         context active it mints one, so worker records are still
         stitchable."""
         configure_pool(workers=2)
         obs.configure(enabled=True, reset=True)
-        db = self._build_db()
-        db.query_bulk("s", ["one", "three"], backend="process")
+        document_matrices(PATTERN, "ab" * 300, backend="process", shards=2)
         records = obs.tracer().records()
-        bulk = [r for r in records if r.get("name") == "db.query_bulk"]
-        assert bulk and all(r.get("trace") for r in bulk)
+        folds = [r for r in records if r.get("name") == "parallel.document_matrices"]
+        assert folds and all(r.get("trace") for r in folds)
 
-    def test_service_admission_mints_the_trace_and_reports_pool_stats(self):
-        configure_pool(workers=2)
+    def test_service_admission_mints_the_trace(self):
         obs.configure(enabled=True, reset=True)
         db = self._build_db()
         with SpannerService(db, ServeConfig(workers=2)) as service:
-            result = service.query_bulk(
-                "s", ["one", "three"], backend="process", timeout=60
-            )
+            result = service.query_bulk("s", ["one", "three"], timeout=60)
             stats = service.stats()
         assert sorted(result.results) == ["one", "three"]
-        pool = stats["process_pool"]
-        assert pool is not None and pool["runs"] >= 1
-        assert "harvests" in pool
-        assert pool_stats()["runs"] == pool["runs"]
+        assert "process_pool" not in stats  # the service never reaches the pool
         traces = {
             r.get("trace") for r in obs.tracer().records() if r.get("trace")
         }

@@ -1,13 +1,14 @@
 """Tests for :mod:`repro.parallel` — the shard-parallel evaluation
-backend and the bulk query API layered on it.
+backend — and for the bulk query API, which needs no parallelism.
 
 The load-bearing property is *bit-for-bit determinism*: the ``(σ, T,
 T_em)`` combine is associative and exact, so every choice of backend,
 worker count, shard split, and chunk size must produce *identical packed
 words* — not merely equal relations.  These tests assert that
 differentially against the serial backend and against the SLP
-``preprocess`` path, then check the API layers (``SpannerDB.query_bulk``,
-``SpannerService.submit_bulk``) give exactly the per-document answers."""
+``preprocess`` path, then check the bulk API layers
+(``SpannerDB.query_bulk``, ``SpannerService.submit_bulk``) give exactly
+the per-document answers."""
 
 import random
 
@@ -167,16 +168,15 @@ class TestPool:
         evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERNS[1]))
         with pytest.raises(ParallelError):
             document_matrices(evaluator, "ab", backend="fork")
+        with pytest.raises(ParallelError):
+            document_matrices(evaluator, "ab", backend="bogus")
 
     def test_thread_backend_is_gone(self):
         evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERNS[1]))
         with pytest.raises(ParallelError):
             document_matrices(evaluator, "ab", backend="thread")
-        db = SpannerDB()
-        db.add_document("a", "ab")
-        db.register_spanner("s", PATTERNS[1])
         with pytest.raises(ParallelError):
-            db.query_bulk("s", ["a"], backend="thread")
+            is_nonempty_text(evaluator, "ab", backend="thread")
 
     def test_invalid_workers_raises(self):
         with pytest.raises(ParallelError):
@@ -215,26 +215,21 @@ class TestQueryBulk:
         return db, names
 
     def test_bulk_equals_sequential_query_fuzzed(self):
-        """The ISSUE's differential requirement: ``query_bulk`` must give
-        exactly the per-document ``query`` answers, for fuzzed documents
-        and every backend."""
+        """``query_bulk`` must give exactly the per-document ``query``
+        answers, for fuzzed documents."""
         rng = random.Random(23)
         for trial in range(4):
             db, names = self._store(rng)
             pattern = PATTERNS[trial % len(PATTERNS)]
             db.register_spanner("s", pattern)
             want = {name: set(db.query("s", name)) for name in names}
-            for backend in ("serial", "process", "auto"):
-                bulk = db.query_bulk("s", names, backend=backend)
-                assert list(bulk) == names  # input order
-                assert {n: set(r) for n, r in bulk.items()} == want, (
-                    pattern,
-                    backend,
-                )
+            bulk = db.query_bulk("s", names)
+            assert list(bulk) == names  # input order
+            assert {n: set(r) for n, r in bulk.items()} == want, pattern
 
     def test_bulk_on_edited_documents(self):
-        """Documents produced by CDE edits share subtrees; the warm-up
-        must still merge to one consistent cache on either backend."""
+        """Documents produced by CDE edits share subtrees; the bulk loop
+        must read them from one consistent cache."""
         from repro.slp import parse_cde
 
         db = SpannerDB()
@@ -244,9 +239,8 @@ class TestQueryBulk:
         db.register_spanner("s", "(a|b)*!x{ab}(a|b)*")
         names = ["base", "head", "twice"]
         want = {name: set(db.query("s", name)) for name in names}
-        for backend in ("serial", "process"):
-            bulk = db.query_bulk("s", names, backend=backend)
-            assert {n: set(r) for n, r in bulk.items()} == want, backend
+        bulk = db.query_bulk("s", names)
+        assert {n: set(r) for n, r in bulk.items()} == want
 
     def test_bulk_unknown_document_raises(self):
         from repro.errors import SLPError
@@ -256,13 +250,6 @@ class TestQueryBulk:
         db.register_spanner("s", "!x{a*b*}")
         with pytest.raises(SLPError):
             db.query_bulk("s", ["a", "missing"])
-
-    def test_bulk_bad_backend_raises_parallel_error(self):
-        db = SpannerDB()
-        db.add_document("a", "ab")
-        db.register_spanner("s", "!x{a*b*}")
-        with pytest.raises(ParallelError):
-            db.query_bulk("s", ["a"], backend="bogus")
 
 
 class TestServeBulk:

@@ -35,7 +35,7 @@ from repro.serve import (
     ServeConfig,
     SpannerService,
 )
-from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN
+from repro.util.breaker import CLOSED, HALF_OPEN, OPEN
 from repro.slp.spanner_eval import SLPSpannerEvaluator
 from repro.util import ChaosInjector, fail_at_call
 

@@ -1,6 +1,17 @@
 """Tests for the integrated SpannerDB system (the Section 4 narrative)."""
 
+import os
+import shutil
+import tempfile
+
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.core import Span, SpanTuple
 from repro.db import SpannerDB
@@ -103,3 +114,110 @@ class TestEditing:
         assert stats["total_characters"] == 13
         assert stats["slp_nodes"] >= 1
         assert "pairs" in stats["cached_matrices"]
+
+
+# ----------------------------------------------------------------------
+# the sealed-root invariant behind query_bulk
+# ----------------------------------------------------------------------
+SEALED_PATTERNS = (
+    "(a|b)*!x{ab}(a|b)*",
+    "!x{(a|b)*}!y{b}!z{(a|b)*}",
+    "(a|b)*!x{a+}!y{b+}(a|b)*",
+)
+
+
+class _RollBack(Exception):
+    pass
+
+
+class SealedStoreMachine(RuleBasedStateMachine):
+    """Every stored root is sealed in every registered spanner's evaluator
+    after every mutation — ``add_document``, ``register_spanner``,
+    ``edit``, a rolled-back ``transaction()``, ``save`` + ``open`` +
+    re-registration — so ``query_bulk`` has nothing left to preprocess,
+    and it answers exactly like the per-document ``query`` loop."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.tmp = tempfile.mkdtemp(prefix="sealed-store-")
+        self.db = SpannerDB()
+        #: spanner name -> regex source, re-registered after a reopen
+        self.sources: dict[str, str] = {}
+        self.fresh = 0
+
+    def teardown(self) -> None:
+        shutil.rmtree(self.tmp, ignore_errors=True)
+
+    def _name(self) -> str:
+        self.fresh += 1
+        return f"d{self.fresh}"
+
+    @rule(text=st.text(alphabet="ab", min_size=1, max_size=24))
+    def add_document(self, text):
+        self.db.add_document(self._name(), text)
+
+    @precondition(lambda self: len(self.sources) < len(SEALED_PATTERNS))
+    @rule(data=st.data())
+    def register_spanner(self, data):
+        unregistered = [p for p in SEALED_PATTERNS if p not in self.sources.values()]
+        pattern = data.draw(st.sampled_from(unregistered))
+        name = f"s{SEALED_PATTERNS.index(pattern)}"
+        self.db.register_spanner(name, pattern)
+        self.sources[name] = pattern
+
+    @precondition(lambda self: self.db.documents())
+    @rule(data=st.data())
+    def edit(self, data):
+        names = self.db.documents()
+        left = data.draw(st.sampled_from(names))
+        if data.draw(st.booleans()):
+            expression = Concat(Doc(left), Doc(data.draw(st.sampled_from(names))))
+        else:
+            length = self.db.document_length(left)
+            i = data.draw(st.integers(1, length))
+            j = data.draw(st.integers(i, length))
+            expression = Extract(Doc(left), i, j)
+        self.db.edit(self._name(), expression)
+
+    @rule(text=st.text(alphabet="ab", min_size=1, max_size=24), register=st.booleans())
+    def rolled_back_transaction(self, text, register):
+        with pytest.raises(_RollBack):
+            with self.db.transaction():
+                self.db.add_document(self._name(), text + "ba")
+                if self.db.documents():
+                    first = self.db.documents()[0]
+                    self.db.edit(self._name(), Concat(Doc(first), Doc(first)))
+                if register:
+                    self.db.register_spanner("scratch", "(a|b)*!x{b}(a|b)*")
+                raise _RollBack
+
+    @rule()
+    def save_open_reregister(self):
+        path = os.path.join(self.tmp, "store.slpdb")
+        self.db.save(path)
+        self.db = SpannerDB.open(path)
+        for name, pattern in self.sources.items():
+            self.db.register_spanner(name, pattern)
+
+    @invariant()
+    def every_root_sealed_and_bulk_equals_the_loop(self):
+        names = self.db.documents()
+        assert self.db.spanners() == sorted(self.sources)
+        for spanner in self.db.spanners():
+            evaluator = self.db._evaluator(spanner)
+            for name in names:
+                assert evaluator.is_sealed(self.db.slp, self.db.document_node(name)), (
+                    spanner,
+                    name,
+                )
+            bulk = self.db.query_bulk(spanner, names)
+            assert list(bulk) == names
+            assert {n: set(r) for n, r in bulk.items()} == {
+                n: set(self.db.query(spanner, n)) for n in names
+            }
+
+
+TestSealedStoreMachine = SealedStoreMachine.TestCase
+TestSealedStoreMachine.settings = settings(
+    max_examples=40, stateful_step_count=12, deadline=None
+)

@@ -17,7 +17,7 @@ mutable state of the evaluation pipeline:
   invalidates every live index of the arena, so no other module calls it;
 * breaker grants are settled only by ``CircuitBreaker.guard``: the
   ``record_success(`` / ``record_failure(`` calls it wraps appear in
-  ``serve/breaker.py`` alone, so no call site can leak a half-open probe
+  ``util/breaker.py`` alone, so no call site can leak a half-open probe
   slot by missing an exception type;
 * every *other* module must reach this state through
   ``serve/coordination.py``'s read/write lock, never directly.
@@ -58,7 +58,7 @@ GUARDED = {
         "src/repro/slp/slp.py",  # truncate invalidates every live index
     },
     re.compile(r"\brecord_(success|failure)\s*\("): {
-        "src/repro/serve/breaker.py",  # guard() is the one settle site
+        "src/repro/util/breaker.py",  # guard() is the one settle site
     },
     re.compile(r"\.truncate\s*\("): {
         "src/repro/slp/slp.py",

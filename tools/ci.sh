@@ -22,6 +22,9 @@ python tools/check_shm_hygiene.py
 echo "== lint: metric names match the catalog (repro/obs/catalog.py)"
 python tools/check_metric_names.py
 
+echo "== lint: repro.parallel and repro.serve do not import each other"
+python tools/check_layering.py
+
 echo "== bench: committed results meet their recorded speedup floors"
 python tools/check_bench_regression.py
 
