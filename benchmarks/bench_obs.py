@@ -140,7 +140,7 @@ def test_o1_slp_eval_enabled_overhead(bench):
 def test_o3_process_pool_enabled_overhead(bench):
     """The cross-process lane: ``document_matrices`` over the process
     backend with the full ISSUE 7 machinery live — per-task harvest
-    collection, span shipping, per-worker flight rings, shm phase timers.
+    collection, span shipping, per-worker flight rings.
     The ceiling is looser than the in-process lanes' (1.5x, enforced on
     the recorded row by tools/check_bench_regression.py): the harvest and
     ring writes are real per-task work, but they ride the existing result
@@ -155,13 +155,12 @@ def test_o3_process_pool_enabled_overhead(bench):
             evaluator, text, backend="process", workers=2, shards=2
         )
 
-    run()  # warm the pool, the workers' arenas, and the plan cache
+    run()  # warm the pool and the plan cache
     obs.configure(enabled=False, reset=True)
     disabled = _median_ns(run, repeats=5)
     obs.configure(enabled=True, reset=True)
     enabled = _median_ns(run, repeats=5)
     harvests = obs.metrics().counter("parallel.proc.harvests").value
-    snapshot = obs.metrics().snapshot()
     obs.configure(enabled=False)
     ratio = enabled / disabled
     bench(run, rounds=1)
@@ -169,12 +168,6 @@ def test_o3_process_pool_enabled_overhead(bench):
         doc_length=len(text),
         enabled_over_disabled_ratio=round(ratio, 4),
         harvests=harvests,
-        shm_pack_p50_ns=snapshot["histograms"]
-        .get("parallel.shm.pack_ns", {})
-        .get("p50"),
-        shm_unpack_p50_ns=snapshot["histograms"]
-        .get("parallel.shm.unpack_ns", {})
-        .get("p50"),
     )
     assert harvests > 0, "enabled runs must fold worker harvests"
     assert ratio < 1.5, f"cross-process obs ceiling is 1.5x, got {ratio:.3f}x"
@@ -190,8 +183,9 @@ def test_o3_crash_telemetry_survives_sigkill(bench):
 
     obs.configure(enabled=True, reset=True)
     chaos = WorkerChaos(seed=0, kill_rate=0.3)
-    # a deep retry budget: the lane runs several batches, and a task that
-    # draws 4+ consecutive kills would otherwise fail ~1% of the time
+    # verdicts are keyed on (run, call index, attempt), so the schedule is
+    # fixed: seed 0 kills no task more than twice in a row in the lane's
+    # two batches, and the deep retry budget leaves room to change seeds
     pool = ProcPool(workers=2, chaos=chaos, task_retries=8, crash_tolerance=100)
     echo = "repro.parallel.procpool:_task_echo"
 

@@ -65,9 +65,7 @@ METRIC_NAMES = frozenset(
         "parallel.shm.attach_ns",
         "parallel.shm.bytes",
         "parallel.shm.create_ns",
-        "parallel.shm.pack_ns",
         "parallel.shm.segments",
-        "parallel.shm.unpack_ns",
         # query (the repro.query language layer)
         "query.evaluations",
         "query.plan.compile",

@@ -15,10 +15,11 @@ This package provides
   — plus ``"auto"`` resolution with circuit-broken degradation
   (:func:`~repro.parallel.api.resolve_backend`), set from the backend
   sweep in ``docs/PERFORMANCE.md``;
-* leak-proof zero-copy transport for the process backend
-  (:mod:`repro.parallel.shm`): one shared-memory segment per request,
+* leak-proof shared-memory segments for the workers' crash flight
+  recorder (:mod:`repro.parallel.shm`, :mod:`repro.parallel.flight`):
   created only by the parent and unlinked on success, failure, and
-  interpreter exit alike;
+  interpreter exit alike — shard text and folded entries themselves
+  travel through each worker's pipe;
 * the entry points (:mod:`repro.parallel.api`):
   :func:`document_matrices` / :func:`is_nonempty_text`.
 
@@ -39,10 +40,8 @@ from repro.parallel.fold import (
     combine,
     fold_entries,
     identity_entry,
-    indexed_entry,
     reduce_stack,
     shard_spans,
-    table_stack,
     text_entry,
 )
 from repro.parallel.procpool import (
@@ -55,21 +54,14 @@ from repro.parallel.procpool import (
     shutdown_pool,
     usable_cores,
 )
-from repro.parallel.shm import (
-    SegmentRegistry,
-    ShmArray,
-    attached_job,
-    live_segments,
-)
+from repro.parallel.shm import SegmentRegistry, live_segments
 
 __all__ = [
     "DEFAULT_CHUNK",
     "ProcCall",
     "ProcPool",
     "SegmentRegistry",
-    "ShmArray",
     "as_evaluator",
-    "attached_job",
     "combine",
     "configure_pool",
     "default_workers",
@@ -77,7 +69,6 @@ __all__ = [
     "fold_entries",
     "get_pool",
     "identity_entry",
-    "indexed_entry",
     "is_nonempty_text",
     "live_segments",
     "pool_stats",
@@ -86,7 +77,6 @@ __all__ = [
     "resolve_backend",
     "shard_spans",
     "shutdown_pool",
-    "table_stack",
     "text_entry",
     "usable_cores",
 ]

@@ -10,11 +10,11 @@ without enumeration.
 
 It accepts ``"serial"`` (the calling thread), ``"process"`` (the
 supervised pool of :mod:`repro.parallel.procpool`) and ``"auto"``.  For
-the ``"process"`` backend the fan-out changes vehicle, not value: inputs
-ship through :mod:`repro.parallel.shm` (character-index arrays and
-per-character entry stacks), workers fold them with
-:func:`~repro.parallel.fold.indexed_entry` — the *same code* the serial
-path runs — and the folded entries come back bit-for-bit identical.
+the ``"process"`` backend the fan-out changes vehicle, not value: each
+shard's text and the character table travel through the worker's pipe,
+the worker folds them with :func:`~repro.parallel.fold.text_entry` — the
+*same code* the serial path runs — and the folded entry comes back
+bit-for-bit identical.
 
 There is no bulk fan-out over stored documents: a :class:`~repro.db.SpannerDB`
 preprocesses and seals every stored root for every registered spanner
@@ -45,22 +45,10 @@ import threading
 import time
 from contextlib import nullcontext
 
-import numpy as np
-
 from repro import obs
 from repro.errors import ParallelError, PoolExhaustedError, WorkerCrashError
-from repro.kernels.bitmat import BitMatrix, words_for
-from repro.parallel.fold import (
-    DEFAULT_CHUNK,
-    char_codes,
-    fold_entries,
-    indexed_entry,
-    shard_spans,
-    table_stack,
-    text_entry,
-)
+from repro.parallel.fold import DEFAULT_CHUNK, fold_entries, shard_spans, text_entry
 from repro.parallel.procpool import ProcCall, default_workers, get_pool, usable_cores
-from repro.parallel.shm import SegmentRegistry, attached_job
 from repro.slp.spanner_eval import SLPSpannerEvaluator
 from repro.util.breaker import CircuitBreaker
 from repro.util.budget import Budget, Deadline
@@ -73,7 +61,7 @@ __all__ = [
     "resolve_backend",
 ]
 
-#: below this many characters the pipe/segment round-trip costs more
+#: below this many characters the pipe round-trip costs more
 #: than the fold itself; ``"auto"`` keeps such documents serial
 _PROCESS_MIN_CHARS = 4096
 
@@ -286,8 +274,8 @@ def document_matrices(
                 time.perf_counter_ns() - t1
             )
             # the counters above aggregate totals; the histograms keep the
-            # per-request distribution the ROADMAP's segment-pool decision
-            # needs (is fanout dominated by a few slow requests or many?)
+            # per-request distribution (is fanout dominated by a few slow
+            # requests or many?)
             registry.histogram("parallel.phase.fanout_ns").record(t1 - t0)
             registry.histogram("parallel.phase.fold_ns").record(
                 time.perf_counter_ns() - t1
@@ -296,101 +284,31 @@ def document_matrices(
 
 
 def _fold_shards_process(table, text: str, q: int, spans, chunk_size, budget):
-    """Fan the shard folds out to worker processes via shared memory.
+    """Fan the shard folds out to worker processes, one task per span.
 
-    One segment carries the per-position table-row indices, the distinct-
-    character entry stacks, and zero-initialised per-shard result slots;
-    workers write their folded entry into their slot and return only
-    their step count through the pipe.  The registry unlinks the segment
-    on every exit path."""
-    if not spans:
-        return []
-    distinct, inverse = np.unique(char_codes(text), return_inverse=True)
-    stack = table_stack(table, [chr(code) for code in distinct])
-    w = words_for(q)
-    n_shards = len(spans)
+    Each task carries the character table and its shard's text through the
+    worker's pipe and returns the folded entry with the steps it charged,
+    which are billed to *budget* once the batch settles."""
     spec = _budget_spec(budget)
-    with SegmentRegistry() as registry:
-        (
-            d_inverse,
-            d_sigma,
-            d_t,
-            d_tem,
-            d_out_sigma,
-            d_out_t,
-            d_out_tem,
-        ) = registry.pack(
-            [
-                inverse.astype(np.int64, copy=False),
-                stack[0],
-                stack[1],
-                stack[2],
-                ((n_shards, q), np.int64),
-                ((n_shards, q, w), np.uint64),
-                ((n_shards, q, w), np.uint64),
-            ]
+    calls = [
+        ProcCall(
+            "repro.parallel.api:_fold_shard_task",
+            (table, text[start:end], q, chunk_size, spec),
         )
-        trace_ctx = obs.child_context()
-        calls = [
-            ProcCall(
-                "repro.parallel.api:_fold_shard_task",
-                (
-                    d_inverse,
-                    (d_sigma, d_t, d_tem),
-                    (d_out_sigma, d_out_t, d_out_tem),
-                    index,
-                    start,
-                    end,
-                    q,
-                    chunk_size,
-                    spec,
-                ),
-                trace=trace_ctx,
-            )
-            for index, (start, end) in enumerate(spans)
-        ]
-        deadline = budget.deadline if budget is not None else None
-        step_counts = get_pool().run(calls, deadline=deadline)
-        out_sigma = registry.read(d_out_sigma)
-        out_t = registry.read(d_out_t)
-        out_tem = registry.read(d_out_tem)
-    _charge_worker_steps(budget, sum(step_counts))
-    return [
-        (
-            out_sigma[index],
-            BitMatrix(np.ascontiguousarray(out_t[index]), q),
-            BitMatrix(np.ascontiguousarray(out_tem[index]), q),
-        )
-        for index in range(n_shards)
+        for start, end in spans
     ]
+    deadline = budget.deadline if budget is not None else None
+    outcomes = get_pool().run(calls, deadline=deadline)
+    _charge_worker_steps(budget, sum(steps for _, steps in outcomes))
+    return [entry for entry, _ in outcomes]
 
 
-def _fold_shard_task(
-    d_inverse,
-    stack_descrs,
-    out_descrs,
-    shard_index: int,
-    start: int,
-    end: int,
-    q: int,
-    chunk_size: int,
-    budget_spec,
-) -> int:
-    """Worker side of :func:`_fold_shards_process`: fold ``[start, end)``
-    and write the entry into result slot *shard_index*.  Returns the
-    steps charged, for the parent to account."""
+def _fold_shard_task(table, text: str, q: int, chunk_size: int, budget_spec):
+    """Worker side of :func:`_fold_shards_process`: ``(entry, steps)`` of
+    one shard, folded by :func:`~repro.parallel.fold.text_entry`."""
     budget = _budget_from_spec(budget_spec)
-    with attached_job() as job:
-        inverse = job.array(d_inverse)[start:end]
-        stack = tuple(job.array(descr) for descr in stack_descrs)
-        sigma, t, t_em = indexed_entry(
-            stack, inverse, q, chunk_size=chunk_size, budget=budget
-        )
-        d_out_sigma, d_out_t, d_out_tem = out_descrs
-        job.array(d_out_sigma)[shard_index] = sigma
-        job.array(d_out_t)[shard_index] = t.rows
-        job.array(d_out_tem)[shard_index] = t_em.rows
-    return budget.steps if budget is not None else 0
+    entry = text_entry(table, text, q, chunk_size=chunk_size, budget=budget)
+    return entry, budget.steps if budget is not None else 0
 
 
 def is_nonempty_text(spanner, text: str, **kwargs) -> bool:

@@ -1,7 +1,7 @@
 """The crash flight recorder: a worker's last words, readable post-mortem.
 
 A SIGKILLed pool worker (chaos, OOM, stall-kill, deadline-kill) can never
-ship its telemetry: the pipes die with it, and PR 6's supervisor could
+ship its telemetry: the pipes die with it, and the supervisor alone could
 only report *that* a worker died, never *what it was doing*.  This module
 closes that gap with a tiny parent-owned shared-memory ring per worker:
 the worker mirrors every trace record it emits into the ring (via
@@ -25,8 +25,9 @@ Records longer than a slot are retried without their ``attrs`` payload
 and dropped if still oversized — the recorder prefers losing detail to
 losing the timeline.  Segment creation goes through the caller's
 :class:`~repro.parallel.shm.SegmentRegistry` (the library's single
-creation site), so rings obey the same leak-proofing contract as shard
-payload segments: unlinked when the run's registry closes, crash or not.
+creation site), so rings obey its leak-proofing contract: unlinked when
+the run's registry closes, crash or not.  The rings are the only shared
+memory the library uses; shard work travels through the workers' pipes.
 """
 
 from __future__ import annotations

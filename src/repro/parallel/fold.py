@@ -59,10 +59,8 @@ __all__ = [
     "combine",
     "fold_entries",
     "identity_entry",
-    "indexed_entry",
     "reduce_stack",
     "shard_spans",
-    "table_stack",
     "text_entry",
 ]
 
@@ -103,49 +101,6 @@ def shard_spans(n: int, shards: int) -> list[tuple[int, int]]:
             spans.append((start, end))
         start = end
     return spans
-
-
-def table_stack(table, chars):
-    """The distinct-character entry stack of *table*, in *chars* order.
-
-    The dense form the process backend ships through shared memory: three
-    plain arrays — ``σ`` ``(c, q)`` int64, ``T`` and ``T_em`` rows
-    ``(c, q, w)`` uint64 — with row *i* belonging to ``chars[i]``.
-    Together with a per-position index array (:func:`indexed_entry`) they
-    carry exactly the information of the char-table dict, with no Python
-    objects to pickle."""
-    chars = list(chars)
-    sigmas = np.stack([table[ch][0] for ch in chars])
-    t_rows = np.stack([table[ch][1].rows for ch in chars])
-    t_em_rows = np.stack([table[ch][2].rows for ch in chars])
-    return sigmas, t_rows, t_em_rows
-
-
-def indexed_entry(
-    stack, inverse, q: int, *, chunk_size: int = DEFAULT_CHUNK, budget=None
-):
-    """``(σ, T, T_em)`` of the text whose position *i* has table row
-    ``inverse[i]``: chunked balanced reduction.
-
-    Each ``chunk_size`` block of positions is gathered and reduced fully
-    before the next is touched, then the per-chunk entries are folded —
-    the value is independent of *chunk_size* (associativity), only the
-    peak working set changes.  :func:`text_entry` and the process
-    backend's workers both fold through here."""
-    sigmas, t_rows, t_em_rows = stack
-    inverse = np.asarray(inverse)
-    if inverse.size == 0:
-        return identity_entry(q)
-    chunk_size = max(2, int(chunk_size))
-    chunk_entries = []
-    for start in range(0, inverse.size, chunk_size):
-        index = inverse[start : start + chunk_size]
-        chunk_entries.append(
-            reduce_stack(
-                (sigmas[index], t_rows[index], t_em_rows[index]), q, budget
-            )
-        )
-    return fold_entries(chunk_entries, q, budget)
 
 
 def _combine_level(sigmas, t_rows, t_em_rows, q: int):
@@ -193,6 +148,15 @@ def reduce_stack(stack, q: int, budget=None):
     )
 
 
+def _stack_entries(entries):
+    """The batched stack of a non-empty list of scalar entries."""
+    return (
+        np.stack([entry[0] for entry in entries]),
+        np.stack([entry[1].rows for entry in entries]),
+        np.stack([entry[2].rows for entry in entries]),
+    )
+
+
 def fold_entries(entries, q: int, budget=None):
     """Fold already-scalar entries (e.g. one per shard) into one."""
     entries = list(entries)
@@ -200,12 +164,7 @@ def fold_entries(entries, q: int, budget=None):
         return identity_entry(q)
     if len(entries) == 1:
         return entries[0]
-    stack = (
-        np.stack([entry[0] for entry in entries]),
-        np.stack([entry[1].rows for entry in entries]),
-        np.stack([entry[2].rows for entry in entries]),
-    )
-    return reduce_stack(stack, q, budget)
+    return reduce_stack(_stack_entries(entries), q, budget)
 
 
 def combine(left, right, q: int):
@@ -225,13 +184,31 @@ def char_codes(text: str) -> np.ndarray:
 def text_entry(
     table, text: str, q: int, *, chunk_size: int = DEFAULT_CHUNK, budget=None
 ):
-    """``(σ, T, T_em)`` of one text shard, folded by :func:`indexed_entry`.
+    """``(σ, T, T_em)`` of one text shard: chunked balanced reduction.
 
     *table* maps every distinct character of *text* to its ``(σ, T,
     T_em)`` entry (prefetch via
     :meth:`repro.slp.SLPSpannerEvaluator.char_entries` so the fold never
     touches the locked char-table store).  Character codes
-    (:func:`char_codes`) are deduplicated with ``np.unique``."""
+    (:func:`char_codes`) are deduplicated with ``np.unique`` into one
+    stack of distinct entries; each ``chunk_size`` block of positions is
+    gathered from it and reduced fully before the next is touched, then
+    the per-chunk entries are folded — the value is independent of
+    *chunk_size* (associativity), only the peak working set changes.  The
+    serial loop and the process backend's workers both fold through here."""
     distinct, inverse = np.unique(char_codes(text), return_inverse=True)
-    stack = table_stack(table, map(chr, distinct))
-    return indexed_entry(stack, inverse, q, chunk_size=chunk_size, budget=budget)
+    if inverse.size == 0:
+        return identity_entry(q)
+    sigmas, t_rows, t_em_rows = _stack_entries(
+        [table[chr(code)] for code in distinct]
+    )
+    chunk_size = max(2, int(chunk_size))
+    chunk_entries = []
+    for start in range(0, inverse.size, chunk_size):
+        index = inverse[start : start + chunk_size]
+        chunk_entries.append(
+            reduce_stack(
+                (sigmas[index], t_rows[index], t_em_rows[index]), q, budget
+            )
+        )
+    return fold_entries(chunk_entries, q, budget)

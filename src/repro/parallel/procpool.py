@@ -4,9 +4,12 @@ The ``"serial"`` backend runs in the caller's address space — cheap, but
 a fold that segfaults, gets OOM-killed, or wedges in native code takes
 the whole service with it.  This module provides the ``"process"``
 backend: a small, supervised pool of worker *processes* to which shard
-work is shipped as picklable task descriptors (:class:`ProcCall`), with
-bulk array payloads travelling through :mod:`repro.parallel.shm` rather
-than pipes.
+work is shipped as picklable task descriptors (:class:`ProcCall`) through
+each worker's pipe.  A shard task pickles its text and the character
+table — bytes per character, against a fold that costs microseconds per
+character — so the pipe is not where the time goes.  Shared memory
+(:mod:`repro.parallel.shm`) carries only the crash flight recorder's
+rings, which must outlive a SIGKILLed worker.
 
 Supervision contract (what :class:`ProcPool.run` guarantees):
 
@@ -16,8 +19,8 @@ Supervision contract (what :class:`ProcPool.run` guarantees):
   replaces;
 * **crash containment** — a worker dying mid-task (SIGKILL, OOM, hard
   exit) is detected via its process sentinel, the worker is respawned,
-  and *only the lost task* is re-dispatched, with a fresh chaos sequence
-  number; a bounded crash/retry budget converts persistent crash loops
+  and *only the lost task* is re-dispatched, with its attempt number
+  raised; a bounded crash/retry budget converts persistent crash loops
   into one typed :class:`~repro.errors.WorkerCrashError` instead of a
   hang;
 * **stall containment** — a worker that stops answering for longer than
@@ -41,16 +44,20 @@ point that wakes on results and deaths alike.
 
 Fault injection plugs in via :class:`repro.util.faults.WorkerChaos`: the
 pool ships the (picklable, seeded) schedule to every worker, each task
-dispatch carries a global sequence number, and the worker consults the
-schedule *before* executing — so chaos runs kill and stall real
-processes deterministically per seed.
+dispatch carries its key ``(run, call index, attempt)`` — the pool's run
+number, the call's position in the batch, and how often it was
+dispatched before — and the worker consults the schedule *before*
+executing.  The key does not depend on timing or on which worker takes
+the task, so a seeded chaos run kills and stalls the same tasks every
+time.
 
 The default start method is ``"fork"`` where available (milliseconds per
 worker; workers inherit warm imports) and ``"spawn"`` elsewhere;
 :func:`configure_pool` overrides it.  Everything here is
 observability-instrumented: ``parallel.proc.*`` counters count spawns,
 respawns, crashes, retries, and tasks, and each batch runs under a
-``parallel.proc.run`` trace span.
+``parallel.proc.run`` trace span, under which the workers' ``proc.task``
+spans stitch.
 """
 
 from __future__ import annotations
@@ -148,18 +155,11 @@ class ProcCall:
     ships *names*: the worker resolves ``fn`` by import (cached) and
     applies it.  Instances are also directly callable, so any ProcCall
     can be executed inline on the calling thread.
-
-    ``trace`` optionally carries the request's
-    :class:`~repro.obs.context.TraceContext` (see ``obs.child_context``):
-    the worker activates it for the task's duration so its spans stitch
-    under the dispatching span.  It is ignored by ``__call__`` — inline
-    execution already runs inside the caller's context.
     """
 
     fn: str
     args: tuple = ()
     kwargs: dict = field(default_factory=dict)
-    trace: object = None
 
     def __call__(self):
         return _resolve(self.fn)(*self.args, **self.kwargs)
@@ -203,7 +203,9 @@ def _apply_obs_spec(spec: dict | None) -> None:
     The spec rides on every task message, so workers converge to the
     parent's current obs state on their next task — including after an
     ``obs.configure`` flip mid-pool-lifetime.  ``None`` means the parent
-    has observability off: disable and drop the flight hook."""
+    has observability off: disable and drop the flight hook.  The spec's
+    ``trace`` (the dispatching run's :class:`~repro.obs.context.TraceContext`)
+    is activated by :func:`_worker_main`, not here."""
     tracer = obs.tracer()
     if spec is None:
         if obs.enabled():
@@ -284,11 +286,13 @@ def _worker_main(conn, worker_id: int, chaos) -> None:
     """The worker loop: receive a task, (maybe) suffer chaos, execute,
     reply.  Runs until an ``("exit",)`` message or a closed pipe.
 
-    Each task message carries an obs *spec* (or ``None``): the worker
-    mirrors the parent's observability state, activates the call's
-    :class:`~repro.obs.context.TraceContext`, records a ``proc.task.recv``
-    event *before* consulting chaos (so a SIGKILL victim leaves evidence
-    in its flight ring), and piggybacks a telemetry harvest on the reply."""
+    Each task message carries its key ``(run, call index, attempt)`` and
+    an obs *spec* (or ``None``): the worker mirrors the parent's
+    observability state, activates the run's
+    :class:`~repro.obs.context.TraceContext` from the spec, records a
+    ``proc.task.recv`` event *before* consulting chaos (so a SIGKILL
+    victim leaves evidence in its flight ring), and piggybacks a telemetry
+    harvest on the reply."""
     while True:
         try:
             message = conn.recv()
@@ -297,19 +301,19 @@ def _worker_main(conn, worker_id: int, chaos) -> None:
         kind = message[0]
         if kind == "exit":
             break
-        _, seq, call, spec = message
+        _, key, call, spec = message
         _apply_obs_spec(spec)
         tracer = obs.tracer()
-        previous_ctx = tracer.activate_context(getattr(call, "trace", None))
+        previous_ctx = tracer.activate_context(spec["trace"] if spec else None)
         if obs.enabled():
-            tracer.event("proc.task.recv", seq=seq, fn=call.fn)
+            tracer.event("proc.task.recv", key=key, fn=call.fn)
         if chaos is not None:
-            chaos.apply(seq)
+            chaos.apply(key)
         try:
-            with tracer.span("proc.task", seq=seq, fn=call.fn):
-                payload = ("ok", seq, call())
+            with tracer.span("proc.task", key=key, fn=call.fn):
+                payload = ("ok", key, call())
         except BaseException as exc:  # ship it; the parent re-raises
-            payload = ("err", seq, _shippable_error(exc))
+            payload = ("err", key, _shippable_error(exc))
         tracer.activate_context(previous_ctx)
         harvest = _collect_harvest(worker_id)
         try:
@@ -317,7 +321,7 @@ def _worker_main(conn, worker_id: int, chaos) -> None:
         except Exception:
             try:
                 conn.send(
-                    ("err", seq, ParallelError("worker result was unpicklable"), None)
+                    ("err", key, ParallelError("worker result was unpicklable"), None)
                 )
             except Exception:  # pragma: no cover - pipe gone; die quietly
                 break
@@ -333,13 +337,13 @@ def _worker_main(conn, worker_id: int, chaos) -> None:
 class _Worker:
     """Parent-side handle: process + dedicated duplex pipe + bookkeeping."""
 
-    __slots__ = ("process", "conn", "worker_id", "busy_seq", "dispatched_at")
+    __slots__ = ("process", "conn", "worker_id", "busy_key", "dispatched_at")
 
     def __init__(self, process, conn, worker_id: int) -> None:
         self.process = process
         self.conn = conn
         self.worker_id = worker_id
-        self.busy_seq: int | None = None  # task seq in flight, if any
+        self.busy_key: tuple | None = None  # key of the task in flight, if any
         self.dispatched_at = 0.0
 
     def alive(self) -> bool:
@@ -391,7 +395,7 @@ class ProcPool:
         self._busy = 0  # workers currently checked out by run() calls
         self._spawned_total = 0
         self._closed = False
-        self._task_seq = itertools.count()
+        self._run_seq = itertools.count()
         self._stats = {
             "spawned": 0,
             "respawned": 0,
@@ -490,7 +494,7 @@ class ProcPool:
             if self._closed:
                 doomed = list(workers)
             else:
-                alive = [w for w in workers if w.alive() and w.busy_seq is None]
+                alive = [w for w in workers if w.alive() and w.busy_key is None]
                 doomed = [w for w in workers if w not in alive]
                 self._idle.extend(alive)
         for worker in doomed:
@@ -595,6 +599,9 @@ class ProcPool:
             "epoch": tracer.epoch_ns,
             "sink": tracer.sink_path,
             "flight": ring.name if ring is not None else None,
+            # re-rooted at the innermost open span, ``parallel.proc.run``
+            # when dispatched from run(), so worker spans nest under it
+            "trace": obs.child_context(),
         }
 
     def _fold_harvest(self, harvest) -> None:
@@ -642,9 +649,9 @@ class ProcPool:
     ) -> list:
         if flight_rings is None:
             flight_rings = {}
+        run_seq = next(self._run_seq)
         pending = list(range(len(calls)))  # call indices not yet dispatched
         attempts = {index: 0 for index in pending}
-        seq_to_index: dict[int, int] = {}
         results: dict[int, object] = {}
         errors: dict[int, BaseException] = {}
         crashes = 0
@@ -652,13 +659,12 @@ class ProcPool:
         total = len(calls)
 
         def dispatch(worker: _Worker, index: int) -> None:
-            seq = next(self._task_seq)
-            seq_to_index[seq] = index
-            worker.busy_seq = seq
+            # the task key, and the chaos schedule's draw: timing-free
+            worker.busy_key = (run_seq, index, attempts[index])
             worker.dispatched_at = time.monotonic()
             spec = self._obs_spec(worker, flight_rings, flight_registry)
             try:
-                worker.conn.send(("task", seq, calls[index], spec))
+                worker.conn.send(("task", worker.busy_key, calls[index], spec))
             except OSError:
                 # the worker died while idle mid-batch (e.g. OOM-killed
                 # after finishing a task) — sentinels are only waited on
@@ -690,9 +696,9 @@ class ProcPool:
             requeue_or_fail(worker, reason)
             if crashes > self.crash_tolerance:
                 for other in team:
-                    if other.busy_seq is not None:
+                    if other.busy_key is not None:
                         other.kill()
-                        other.busy_seq = None
+                        other.busy_key = None
                 raise WorkerCrashError(
                     f"{crashes} worker crashes in one batch exceeded the"
                     f" tolerance of {self.crash_tolerance}"
@@ -705,11 +711,10 @@ class ProcPool:
             """The task in flight on a dead worker: retry it or record the
             crash as its error."""
             nonlocal settled
-            seq = worker.busy_seq
-            worker.busy_seq = None
-            if seq is None:
+            key, worker.busy_key = worker.busy_key, None
+            if key is None:
                 return
-            index = seq_to_index.pop(seq)
+            index = key[1]
             attempts[index] += 1
             if attempts[index] <= self.task_retries and not errors:
                 pending.insert(0, index)
@@ -734,7 +739,7 @@ class ProcPool:
         while settled < total:
             # nothing in flight and nothing dispatchable → the batch is
             # as settled as it will get (fail-fast left tasks unrun)
-            busy = [w for w in team if w.busy_seq is not None]
+            busy = [w for w in team if w.busy_key is not None]
             if not busy:
                 if pending and not errors:
                     # can only happen if every worker died and respawn
@@ -764,15 +769,15 @@ class ProcPool:
             for worker in list(busy):
                 if worker.conn in ready:
                     try:
-                        kind, seq, payload, harvest = worker.conn.recv()
+                        kind, key, payload, harvest = worker.conn.recv()
                     except (EOFError, OSError):
                         continue  # death; the sentinel branch handles it
                     progressed = True
-                    worker.busy_seq = None
+                    expected, worker.busy_key = worker.busy_key, None
                     self._fold_harvest(harvest)
-                    index = seq_to_index.pop(seq, None)
-                    if index is None:  # a pre-crash straggler; ignore
+                    if key != expected:  # a pre-crash straggler; ignore
                         continue
+                    index = key[1]
                     if kind == "ok":
                         results[index] = payload
                     else:
@@ -785,7 +790,7 @@ class ProcPool:
                         dispatch(worker, pending.pop(0))
 
             for worker in list(team):
-                if worker.busy_seq is None:
+                if worker.busy_key is None:
                     continue
                 died = not worker.alive()
                 stalled = (
@@ -807,7 +812,7 @@ class ProcPool:
                 # wait timed out without news but capacity exists (e.g. a
                 # worker finished exactly at the old loop edge): dispatch
                 for worker in team:
-                    if worker.busy_seq is None and pending:
+                    if worker.busy_key is None and pending:
                         dispatch(worker, pending.pop(0))
 
         if errors:

@@ -1,20 +1,16 @@
-"""Zero-copy buffer transport for the process backend, leak-proof.
+"""Leak-proof shared-memory segments for the crash flight recorder.
 
-Shard fan-out to worker *processes* (:mod:`repro.parallel.procpool`)
-cannot share numpy arrays the way threads do, and pickling dense
-mirrors through pipes would erase the win the workers exist for.  This
-module moves the packed buffers — character-code arrays, per-character
-``(σ, T, T_em)`` stacks, :class:`~repro.kernels.bitmat.BitMatrix` /
-``PackedVec`` words — through
-``multiprocessing.shared_memory`` instead: the parent lays every input
-array and every preallocated result slot out in **one segment per
-request**, workers attach, compute, and write results in place, and the
-only bytes that cross a pipe are task descriptors and acknowledgements.
+Shard work and its results travel through each worker's pipe
+(:mod:`repro.parallel.procpool`); shared memory has one job left.  The
+flight recorder (:mod:`repro.parallel.flight`) gives every worker a ring
+that must outlive the worker: a SIGKILLed worker's pipe dies with it, but
+a segment the *parent* owns can still be read after the kill.  This
+module creates, attaches and unlinks those segments.
 
 The hard part of shared memory is not sharing it but *unlinking* it: a
-worker that is OOM-killed or SIGKILLed mid-fold can never run its
-cleanup, and a leaked ``/dev/shm`` segment outlives the process that
-lost it.  The leak-proofing contract here is structural, and
+worker that is OOM-killed or SIGKILLed can never run its cleanup, and a
+leaked ``/dev/shm`` segment outlives the process that lost it.  The
+leak-proofing contract here is structural, and
 ``tools/check_shm_hygiene.py`` lints it:
 
 * **only the parent creates segments** — workers attach to existing
@@ -40,9 +36,6 @@ import os
 import secrets
 import threading
 import time
-from dataclasses import dataclass
-
-import numpy as np
 
 from repro import obs
 from repro.errors import ParallelError
@@ -50,9 +43,7 @@ from repro.errors import ParallelError
 __all__ = [
     "SEGMENT_PREFIX",
     "SegmentRegistry",
-    "ShmArray",
     "attach",
-    "attached_job",
     "live_segments",
 ]
 
@@ -63,8 +54,6 @@ __all__ = [
 #: counter makes it unique within a process, and the prefix keeps stray
 #: segments attributable (grep-able in ``/dev/shm``)
 SEGMENT_PREFIX = "repro-shm"
-
-_ALIGN = 64  # align each array's offset; keeps views cache-line friendly
 
 _live_lock = threading.Lock()
 _live: dict[str, object] = {}  # name -> SharedMemory (created, not yet unlinked)
@@ -91,9 +80,9 @@ def _segment_name() -> str:
 def live_segments() -> list[str]:
     """Names of segments created by this process and not yet unlinked.
 
-    The leak oracle: after any process-backend request — successful,
-    failed, or chaos-killed — this list must be empty again once the
-    request's :class:`SegmentRegistry` closed."""
+    The leak oracle: after any pool run — successful, failed, or
+    chaos-killed — this list must be empty again once the run's
+    :class:`SegmentRegistry` closed."""
     with _live_lock:
         return sorted(_live)
 
@@ -113,7 +102,9 @@ def _cleanup_at_exit() -> None:  # pragma: no cover - interpreter teardown
 atexit.register(_cleanup_at_exit)
 
 
-_forked_child = False
+#: set in a forked child whose parent's resource tracker was running at
+#: ``fork()``, so the child talks to the *parent's* tracker
+_tracker_inherited = False
 
 
 def _reset_after_fork() -> None:  # pragma: no cover - runs in the child
@@ -121,46 +112,31 @@ def _reset_after_fork() -> None:  # pragma: no cover - runs in the child
     copy; if its own ``atexit`` ran :func:`_cleanup_at_exit` it would
     unlink segments the *parent* still owns.  Ownership never crosses
     ``fork()``: drop the inherited entries (close/unlink stay with the
-    parent).  The ``_forked_child`` flag tells :func:`attach` that this
-    process may also share the parent's resource tracker.
+    parent).  ``_tracker_inherited`` tells :func:`attach` whether this
+    process shares the parent's resource tracker; it is decided here, at
+    fork time, because a tracker the child starts later is its own.
 
     A lock another parent thread held at ``fork()`` stays held in the
     child forever, so the child starts with both locks it needs released:
     its segment table's, and the resource tracker's — attaching registers
-    the segment with the tracker, which takes that lock (serving threads
-    create and unlink segments while the pool forks)."""
-    global _forked_child
-    _forked_child = True
+    the segment with the tracker, which takes that lock (concurrent pool
+    runs create and unlink flight rings while the pool forks)."""
+    global _tracker_inherited
     _live_lock._at_fork_reinit()
     _live.clear()
     from multiprocessing import resource_tracker
 
-    resource_tracker._resource_tracker._lock._at_fork_reinit()
+    tracker = resource_tracker._resource_tracker
+    tracker._lock._at_fork_reinit()
+    _tracker_inherited = getattr(tracker, "_fd", None) is not None
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_after_fork)
 
 
-@dataclass(frozen=True)
-class ShmArray:
-    """A picklable pointer to one numpy array inside a shared segment."""
-
-    segment: str
-    dtype: str
-    shape: tuple
-    offset: int
-
-    @property
-    def nbytes(self) -> int:
-        count = 1
-        for dim in self.shape:
-            count *= int(dim)
-        return count * np.dtype(self.dtype).itemsize
-
-
 class SegmentRegistry:
-    """Owner of every shared-memory segment of one parent-side request.
+    """Owner of every shared-memory segment of one parent-side pool run.
 
     A context manager: segments created inside the ``with`` block are
     unlinked when it exits — on the success path, on any exception, and
@@ -209,60 +185,6 @@ class SegmentRegistry:
             )
         return segment
 
-    def pack(self, arrays) -> list[ShmArray]:
-        """Copy *arrays* into one fresh segment; return their descriptors.
-
-        Arrays are laid out back to back at :data:`_ALIGN`-byte offsets.
-        Pass ``(shape, dtype)`` tuples instead of arrays to reserve
-        zero-initialised writable slots (result buffers workers fill)."""
-        t0 = time.perf_counter_ns() if obs.enabled() else 0
-        specs = []
-        offset = 0
-        for item in arrays:
-            if isinstance(item, tuple):
-                shape, dtype = item
-                source = None
-            else:
-                source = np.ascontiguousarray(item)
-                shape, dtype = source.shape, source.dtype
-            descr = ShmArray(
-                segment="", dtype=np.dtype(dtype).str, shape=tuple(shape), offset=offset
-            )
-            specs.append((descr, source))
-            offset += descr.nbytes
-            offset += (-offset) % _ALIGN
-        segment = self.create(offset)
-        out = []
-        for descr, source in specs:
-            descr = ShmArray(segment.name, descr.dtype, descr.shape, descr.offset)
-            view = _view(segment, descr)
-            view[...] = 0 if source is None else source
-            out.append(descr)
-        if obs.enabled():
-            # pack time *includes* the create call above; subtracting the
-            # create histogram's contribution is the reader's job — the
-            # phases are reported raw so neither is double-fitted
-            obs.metrics().histogram("parallel.shm.pack_ns").record(
-                time.perf_counter_ns() - t0
-            )
-        return out
-
-    def read(self, descr: ShmArray) -> np.ndarray:
-        """Copy one of this registry's arrays out (e.g. a result slot a
-        worker filled).  The copy detaches the caller from the segment's
-        lifetime, so the registry can unlink immediately afterwards."""
-        for segment in self._segments:
-            if segment.name == descr.segment:
-                if not obs.enabled():
-                    return _view(segment, descr).copy()
-                t0 = time.perf_counter_ns()
-                out = _view(segment, descr).copy()
-                obs.metrics().histogram("parallel.shm.unpack_ns").record(
-                    time.perf_counter_ns() - t0
-                )
-                return out
-        raise KeyError(f"segment {descr.segment!r} is not owned by this registry")
-
     def close(self) -> None:
         """Unlink everything this registry created (idempotent)."""
         if self._closed:
@@ -288,15 +210,6 @@ class SegmentRegistry:
         self.close()
 
 
-def _view(segment, descr: ShmArray) -> np.ndarray:
-    return np.ndarray(
-        descr.shape,
-        dtype=np.dtype(descr.dtype),
-        buffer=segment.buf,
-        offset=descr.offset,
-    )
-
-
 # ----------------------------------------------------------------------
 # worker side: attach, never create, never unlink
 # ----------------------------------------------------------------------
@@ -306,27 +219,19 @@ def attach(name: str):
     Attaching registers the segment with a ``resource_tracker``; if that
     tracker belongs to *this* process, it would unlink the parent's live
     segment when this process exits (bpo-38119), so the registration is
-    removed immediately (Python < 3.13 has no ``track=False``).  A
-    **forked** worker instead shares the parent's tracker — there the
-    duplicate registration is harmless and must be left alone: removing
-    it would strip the parent's own crash backstop and double-unregister
-    at unlink time."""
+    removed immediately (Python < 3.13 has no ``track=False``).  A worker
+    **forked while the parent's tracker ran** instead shares that tracker
+    — there the duplicate registration is harmless and must be left
+    alone: removing it would strip the parent's own crash backstop and
+    double-unregister at unlink time.  A worker forked before the parent
+    started one starts its own on its first attach, and unregisters every
+    time."""
     t0 = time.perf_counter_ns() if obs.enabled() else 0
-    shared_memory = _shared_memory()
-    try:
-        from multiprocessing import resource_tracker
-
-        inherited = (
-            _forked_child
-            and getattr(resource_tracker._resource_tracker, "_fd", None)
-            is not None
-        )
-    except Exception:  # pragma: no cover - tracker internals shifted
-        resource_tracker = None
-        inherited = False
-    segment = shared_memory.SharedMemory(name=name)
-    if resource_tracker is not None and not inherited:
+    segment = _shared_memory().SharedMemory(name=name)
+    if not _tracker_inherited:
         try:
+            from multiprocessing import resource_tracker
+
             resource_tracker.unregister(segment._name, "shared_memory")
         except Exception:  # pragma: no cover - tracker internals shifted
             pass
@@ -335,32 +240,3 @@ def attach(name: str):
             time.perf_counter_ns() - t0
         )
     return segment
-
-
-class attached_job:
-    """Worker-side view of one request's descriptors.
-
-    ``with attached_job() as job:`` — :meth:`array` maps a descriptor to
-    a live numpy view (segments attached once, cached by name); exiting
-    closes every attachment (close only — unlink belongs to the parent)."""
-
-    def __init__(self) -> None:
-        self._segments: dict = {}
-
-    def array(self, descr: ShmArray) -> np.ndarray:
-        segment = self._segments.get(descr.segment)
-        if segment is None:
-            segment = attach(descr.segment)
-            self._segments[descr.segment] = segment
-        return _view(segment, descr)
-
-    def __enter__(self) -> "attached_job":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        for segment in self._segments.values():
-            try:
-                segment.close()
-            except Exception:
-                pass
-        self._segments = {}

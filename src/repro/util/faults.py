@@ -74,8 +74,9 @@ __all__ = [
 ]
 
 
-def _schedule_rng(seed: int, site: str, k: int) -> random.Random:
-    """The generator behind the *k*-th draw at *site* of schedule *seed*.
+def _schedule_rng(seed: int, site: str, k) -> random.Random:
+    """The generator behind the *k*-th draw at *site* of schedule *seed*
+    (*k* is a call count, or a tuple key such as a pool task's).
 
     ``random.Random`` seeded with a string hashes it with SHA-512, so the
     draw is stable across processes and interpreter runs (unlike
@@ -283,12 +284,14 @@ class WorkerChaos:
     Instances are immutable and picklable: the parent ships one to every
     :mod:`repro.parallel.procpool` worker, and each worker consults it
     *before* executing a task.  The verdict for a task is a pure function
-    of ``(seed, task_seq)`` — the pool assigns ``task_seq`` at dispatch,
-    so a run's fault multiset is deterministic per seed regardless of
-    which worker draws which task, the same concurrency-aware contract
-    :class:`ChaosInjector` makes for threads.  A re-dispatched (retried)
-    task gets a fresh sequence number and therefore a fresh draw — chaos
-    cannot deterministically kill every retry of one shard.
+    of ``(seed, key)``, where the pool's task key is ``(run, call index,
+    attempt)``: the pool's run number, the call's position in its batch,
+    and how many times it was dispatched before.  None of these depends
+    on timing or on which worker takes the task, so the same batches on a
+    fresh pool meet the same kills and stalls — which task is killed, not
+    only how many.  A re-dispatched (retried) task has a higher attempt
+    and therefore a fresh draw — chaos cannot deterministically kill
+    every retry of one shard.
 
     ``"kill"`` sends the worker ``SIGKILL`` — no cleanup, no goodbye, the
     exact failure mode of the OOM killer; ``"stall"`` sleeps through the
@@ -301,17 +304,17 @@ class WorkerChaos:
     stall_rate: float = 0.0
     stall_seconds: float = 0.05
 
-    def decide(self, task_seq: int) -> str | None:
-        """``"kill"``, ``"stall"``, or ``None`` for dispatch *task_seq*."""
+    def decide(self, key) -> str | None:
+        """``"kill"``, ``"stall"``, or ``None`` for the task *key*."""
         return _verdict(
-            _schedule_rng(self.seed, "proc-worker", task_seq).random(),
+            _schedule_rng(self.seed, "proc-worker", key).random(),
             ("kill", self.kill_rate),
             ("stall", self.stall_rate),
         )
 
-    def apply(self, task_seq: int) -> None:
+    def apply(self, key) -> None:
         """Enact the verdict in the calling (worker) process."""
-        verdict = self.decide(task_seq)
+        verdict = self.decide(key)
         if verdict == "kill":
             os.kill(os.getpid(), signal.SIGKILL)
         elif verdict == "stall":

@@ -292,6 +292,15 @@ class TestCrossProcessTracing:
         assert worker_procs, "worker processes must have contributed records"
         # every worker record hangs off the request tree, none are orphans
         assert "~ " not in rendered
+        # and each task nests under the batch that dispatched it
+        [run] = [r for r in records if r.get("name") == "parallel.proc.run"]
+        tasks = [r for r in records if r.get("name") == "proc.task"]
+        assert len(tasks) == 3
+        for task in tasks:
+            assert (task.get("parent_proc"), task.get("parent")) == (
+                run.get("proc", "main"),
+                run["id"],
+            )
 
     def test_untraced_entry_points_mint_a_fallback_trace(self):
         """``document_matrices`` is the fallback admission point: with no

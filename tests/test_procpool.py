@@ -9,14 +9,15 @@ The contract under test, end to end:
 * **bit-for-bit parity** — ``backend="process"`` produces *identical
   packed words* to the serial anchor for every shard/chunk split of
   :func:`~repro.parallel.document_matrices`;
-* **leak-proof transport** — after every test in this file, crash tests
-  included, :func:`~repro.parallel.live_segments` is empty (asserted by
-  an autouse fixture);
+* **leak-proof flight rings** — after every test in this file, crash
+  tests included, :func:`~repro.parallel.live_segments` is empty
+  (asserted by an autouse fixture);
 * **graceful degradation** — crashes degrade to serial (feeding the
   breaker under ``"auto"``), and pool exhaustion surfaces typed with a
   ``retry_after`` hint;
 * **fork safety** — a worker forked while another thread holds the
-  resource tracker's lock still starts (``shm._reset_after_fork``).
+  resource tracker's lock still attaches its flight ring
+  (``shm._reset_after_fork``).
 """
 
 import os
@@ -29,6 +30,7 @@ import pytest
 
 import repro.parallel.api as parallel_api
 import repro.parallel.procpool as parallel_procpool
+from repro import obs
 from repro.parallel.procpool import _default_start_method
 from repro.errors import (
     DeadlineExceededError,
@@ -71,6 +73,15 @@ def _slow_fail(message):
     """Raise *message* after a sibling task has had time to fail first."""
     time.sleep(0.3)
     raise ParallelError(message)
+
+
+def _leading_kills(chaos, *, run: int, index: int) -> int:
+    """How many dispatches of call *index* in pool run *run* the schedule
+    kills before one is let through (capped at 64)."""
+    attempt = 0
+    while attempt < 64 and chaos.decide((run, index, attempt)) == "kill":
+        attempt += 1
+    return attempt
 
 
 def _pool_cleared_in_child():
@@ -141,18 +152,46 @@ class TestProcPoolSupervision:
 
     def test_sigkill_storm_still_answers_exactly(self):
         """30% of dispatches are SIGKILLed; retries (fresh draws) land,
-        and the batch result is exactly what a healthy pool returns."""
+        and the batch answers as the seeded schedule says it must: the
+        exact result when no task draws more than ``task_retries`` kills
+        in a row, one typed :class:`WorkerCrashError` otherwise."""
         chaos = WorkerChaos(seed=7, kill_rate=0.3)
+        kills = [_leading_kills(chaos, run=0, index=i) for i in range(20)]
+        assert sum(kills) >= 1, "the schedule must actually storm"
         pool = ProcPool(workers=2, chaos=chaos, task_retries=3,
                         crash_tolerance=100)
         try:
-            got = pool.run([ProcCall(ECHO, (i,)) for i in range(20)])
-            assert got == list(range(20))
+            calls = [ProcCall(ECHO, (i,)) for i in range(20)]
+            if max(kills) > pool.task_retries:
+                with pytest.raises(WorkerCrashError, match="retry budget"):
+                    pool.run(calls)
+                return
+            assert pool.run(calls) == list(range(20))
             stats = pool.stats()
-            assert stats["crashes"] >= 1
-            assert stats["respawned"] >= 1
+            assert stats["crashes"] == stats["retries"] == sum(kills)
+            assert stats["respawned"] == sum(kills)
         finally:
             pool.shutdown()
+
+    def test_seeded_storm_replays_on_a_fresh_pool(self):
+        """Verdicts are keyed on (run, call index, attempt), not on
+        dispatch timing: the same seeded storm on two fresh pools kills
+        the same tasks, so crash and retry counts match exactly."""
+        chaos = WorkerChaos(seed=7, kill_rate=0.3)
+        seen = []
+        for _ in range(2):
+            pool = ProcPool(workers=2, chaos=chaos, task_retries=8,
+                            crash_tolerance=100)
+            try:
+                for _ in range(2):  # a second run draws a fresh schedule
+                    got = pool.run([ProcCall(ECHO, (i,)) for i in range(12)])
+                    assert got == list(range(12))
+                stats = pool.stats()
+            finally:
+                pool.shutdown()
+            seen.append((stats["crashes"], stats["retries"]))
+        assert seen[0] == seen[1]
+        assert seen[0][0] >= 1
 
     def test_retry_budget_exhaustion_is_one_typed_error(self):
         chaos = WorkerChaos(seed=3, kill_rate=1.0)  # every dispatch dies
@@ -356,28 +395,20 @@ class TestWorkerChaosSchedule:
 
 
 # ----------------------------------------------------------------------
-# shared-memory transport hygiene
+# shared-memory segment hygiene
 # ----------------------------------------------------------------------
 class TestShmHygiene:
-    def test_pack_read_roundtrip(self):
-        data = np.arange(13, dtype=np.int64)
-        with SegmentRegistry() as registry:
-            descr, slot = registry.pack([data, ((2, 4), np.uint64)])
-            assert np.array_equal(registry.read(descr), data)
-            assert registry.read(slot).shape == (2, 4)
-            assert live_segments()  # owned while the registry is open
-        assert live_segments() == []
-
     def test_registry_unlinks_on_exception(self):
         with pytest.raises(RuntimeError, match="deliberate"):
             with SegmentRegistry() as registry:
-                registry.pack([np.zeros(4)])
+                registry.create(32)
+                assert live_segments()  # owned while the registry is open
                 raise RuntimeError("deliberate")
         assert live_segments() == []
 
     def test_close_is_idempotent(self):
         registry = SegmentRegistry()
-        registry.pack([np.ones(3)])
+        registry.create(24)
         registry.close()
         registry.close()
         assert live_segments() == []
@@ -643,9 +674,9 @@ class TestForkSafety:
     def test_worker_forked_while_the_tracker_lock_is_held_still_attaches(
         self, monkeypatch
     ):
-        """A serving thread creating or unlinking a segment holds the
-        resource tracker's lock; a worker forked at that moment inherits
-        it held, and its first ``attach`` registers with the tracker.
+        """A thread creating or unlinking a segment holds the resource
+        tracker's lock; a worker forked at that moment inherits it held,
+        and attaching its flight ring (obs on) registers with the tracker.
         ``shm._reset_after_fork`` must release it in the child, or the
         worker hangs until the stall timeout kills it."""
         if _default_start_method() != "fork":
@@ -681,6 +712,48 @@ class TestForkSafety:
         evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERNS[1]))
         text = "ab" * 300
         anchor = document_matrices(evaluator, text, backend="serial")
-        got = document_matrices(evaluator, text, backend="process", shards=2)
+        obs.configure(enabled=True, reset=True)
+        try:
+            got = document_matrices(evaluator, text, backend="process", shards=2)
+            rings = obs.metrics().counter("parallel.shm.segments").value
+        finally:
+            obs.configure(enabled=False, reset=True)
         assert _entries_equal(got, anchor)
         assert pool_stats()["crashes"] == 0
+        assert rings == 2, "each worker must have attached a flight ring"
+
+    def test_worker_forked_before_the_parent_tracker_keeps_no_registrations(self):
+        """A worker forked before this process ever made a segment has no
+        tracker of its own; its first flight-ring attach starts one.
+        Every later attach must still unregister from it, or that tracker
+        holds the parent's ring names and tries to unlink them when the
+        worker exits (warning that they leaked)."""
+        if _default_start_method() != "fork":
+            pytest.skip("tracker inheritance is decided at fork")
+        import subprocess
+        import sys
+
+        script = "\n".join(
+            [
+                "from repro import obs",
+                "from repro.parallel import ProcCall, configure_pool, get_pool, shutdown_pool",
+                "configure_pool(workers=1, start_method='fork')",
+                "echo = ProcCall('repro.parallel.procpool:_task_echo', (1,))",
+                "get_pool().run([echo])  # forks before any segment exists",
+                "obs.configure(enabled=True)",
+                "for _ in range(3):",
+                "    get_pool().run([echo])  # one fresh flight ring per run",
+                "shutdown_pool()",
+            ]
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "leaked shared_memory" not in done.stderr, done.stderr

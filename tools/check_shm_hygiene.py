@@ -14,10 +14,15 @@ The leak-proofing contract of ``repro.parallel.shm`` is structural:
   unlink from, so the unlink survives success, failure, and interpreter
   exit alike.
 * The attach-side constructor never passes ``create=True``.
+* Only the flight recorder and the pool that owns its rings import
+  ``repro.parallel.shm`` (plus the package ``__init__`` re-exporting the
+  leak oracle): shard data travels through the workers' pipes, so any
+  other importer is a second shared-memory path growing back.
 
-This script asserts all three by AST walk, so a refactor that quietly
-adds a second creation site (or drops the registration) fails CI rather
-than leaking ``/dev/shm`` segments in production.
+This script asserts all four by AST walk, so a refactor that quietly
+adds a second creation site (or drops the registration, or ships data
+through shared memory again) fails CI rather than leaking ``/dev/shm``
+segments in production.
 """
 
 from __future__ import annotations
@@ -28,6 +33,32 @@ import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 SHM_MODULE = SRC / "repro" / "parallel" / "shm.py"
+SHM_IMPORTERS = {
+    SRC / "repro" / "parallel" / name
+    for name in ("__init__.py", "flight.py", "procpool.py")
+}
+
+
+def _imports_shm(path: pathlib.Path, tree: ast.Module) -> list[int]:
+    """Line numbers where *path* imports ``repro.parallel.shm`` (lazy
+    imports inside functions included, relative imports resolved)."""
+    package = list(path.relative_to(SRC).parent.parts)
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            modules = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(
+            name == "repro.parallel.shm" or name.startswith("repro.parallel.shm.")
+            for name in modules
+        ):
+            lines.append(node.lineno)
+    return lines
 
 
 def _is_shared_memory_call(node: ast.Call) -> bool:
@@ -80,6 +111,13 @@ def main() -> int:
     problems: list[str] = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if path != SHM_MODULE and path not in SHM_IMPORTERS:
+            for lineno in _imports_shm(path, tree):
+                problems.append(
+                    f"{path.relative_to(SRC)}:{lineno}: imports"
+                    " repro.parallel.shm — only the flight recorder and the"
+                    " pool may; shard data travels through the worker pipes"
+                )
         sites = _enclosing_functions(tree)
         if not sites:
             continue
@@ -117,7 +155,10 @@ def main() -> int:
         for problem in problems:
             print(f"  - {problem}")
         return 1
-    print("shm hygiene ok: one registered creation site, attach-only workers")
+    print(
+        "shm hygiene ok: one registered creation site, attach-only workers,"
+        " flight rings the only importer"
+    )
     return 0
 
 

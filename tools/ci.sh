@@ -16,7 +16,7 @@ python tools/check_no_wallclock.py
 echo "== lint: shared evaluator state stays behind the coordination layer"
 python tools/check_thread_safety.py
 
-echo "== lint: shared-memory segments have a registered unlink path"
+echo "== lint: shared-memory segments have a registered unlink path, only flight rings use them"
 python tools/check_shm_hygiene.py
 
 echo "== lint: metric names match the catalog (repro/obs/catalog.py)"
@@ -66,7 +66,7 @@ echo "== streaming chaos smoke lane (seeded feed faults, fast subset)"
 # faults); slow_fuzz holds the 200-seed differential lane
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q tests/test_stream.py -m "not slow_fuzz"
 
-echo "== process-pool smoke lane (crash isolation over shared memory)"
+echo "== process-pool smoke lane (crash isolation)"
 # the functional tests force backend="process" and run in the default
 # suite on any host; this lane re-runs them as a visible gate where the
 # pool can actually spread work, and skips loudly where it cannot
