@@ -1,6 +1,5 @@
-"""Experiments O1/O3: the observability tax and the measured
-constant-delay profile (paper Section 2.5 / Section 4.2; ISSUE 2 and
-ISSUE 7 acceptance criteria).
+"""Experiment O1: the observability tax and the measured constant-delay
+profile (paper Section 2.5 / Section 4.2).
 
 Claims benchmarked:
 
@@ -14,16 +13,10 @@ Claims benchmarked:
 * the per-tuple delay percentiles reported by the histogram-backed
   profiler are **flat in the document length** — the empirical form of
   the constant-delay claim ([10]/[2]): p50 on a 64×-longer document stays
-  within one power-of-two bucket of the short document's p50;
-* **O3 (cross-process)**: the process backend with worker telemetry
-  harvest, trace shipping, and flight rings live stays under the looser
-  1.5x ceiling of ``tools/check_bench_regression.py`` — harvest deltas
-  piggyback on result messages, so the added cost is packing, not
-  round-trips.
+  within one power-of-two bucket of the short document's p50.
 """
 
 import gc
-import random
 import statistics
 import time
 
@@ -32,12 +25,6 @@ import pytest
 from repro import obs
 from repro.enumeration import Enumerator, profile_delays
 from repro.enumeration.naive import emissions_to_tuple
-from repro.parallel import (
-    configure_pool,
-    document_matrices,
-    live_segments,
-    shutdown_pool,
-)
 from repro.regex import spanner_from_regex
 from repro.slp import SLP, repair_node
 from repro.slp.spanner_eval import SLPSpannerEvaluator
@@ -48,13 +35,10 @@ PATTERN = "(a|b)*!x{ab}(a|b)*"
 
 @pytest.fixture(autouse=True)
 def _obs_reset():
-    """Every test starts and ends with observability off and empty, and
-    leaks neither a pool nor a shared-memory segment."""
+    """Every test starts and ends with observability off and empty."""
     obs.configure(enabled=False, reset=True)
     yield
     obs.configure(enabled=False, reset=True)
-    shutdown_pool()
-    assert live_segments() == []
 
 
 def _median_ns(fn, repeats: int = 9) -> float:
@@ -135,81 +119,6 @@ def test_o1_slp_eval_enabled_overhead(bench):
     bench.record(enabled_over_disabled_ratio=round(ratio, 4))
     assert hits > 0, "warm cache must register hits once observability is on"
     assert ratio < 1.25, f"enabled overhead target is 5%, got {ratio:.3f}x"
-
-
-def test_o3_process_pool_enabled_overhead(bench):
-    """The cross-process lane: ``document_matrices`` over the process
-    backend with the full ISSUE 7 machinery live — per-task harvest
-    collection, span shipping, per-worker flight rings.
-    The ceiling is looser than the in-process lanes' (1.5x, enforced on
-    the recorded row by tools/check_bench_regression.py): the harvest and
-    ring writes are real per-task work, but they ride the existing result
-    pipe rather than adding round-trips."""
-    evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERN))
-    rng = random.Random(0)
-    text = "".join(rng.choice("ab") for _ in range(32 * 1024))
-    configure_pool(workers=2)
-
-    def run():
-        return document_matrices(
-            evaluator, text, backend="process", workers=2, shards=2
-        )
-
-    run()  # warm the pool and the plan cache
-    obs.configure(enabled=False, reset=True)
-    disabled = _median_ns(run, repeats=5)
-    obs.configure(enabled=True, reset=True)
-    enabled = _median_ns(run, repeats=5)
-    harvests = obs.metrics().counter("parallel.proc.harvests").value
-    obs.configure(enabled=False)
-    ratio = enabled / disabled
-    bench(run, rounds=1)
-    bench.record(
-        doc_length=len(text),
-        enabled_over_disabled_ratio=round(ratio, 4),
-        harvests=harvests,
-    )
-    assert harvests > 0, "enabled runs must fold worker harvests"
-    assert ratio < 1.5, f"cross-process obs ceiling is 1.5x, got {ratio:.3f}x"
-
-
-def test_o3_crash_telemetry_survives_sigkill(bench):
-    """The flight-recorder row: under a seeded SIGKILL schedule the batch
-    still answers exactly, and every declared crash carries salvaged
-    last-activity records.  Recorded here so the salvage rate is a
-    tracked number, not an anecdote."""
-    from repro.parallel import ProcCall, ProcPool
-    from repro.util import WorkerChaos
-
-    obs.configure(enabled=True, reset=True)
-    chaos = WorkerChaos(seed=0, kill_rate=0.3)
-    # verdicts are keyed on (run, call index, attempt), so the schedule is
-    # fixed: seed 0 kills no task more than twice in a row in the lane's
-    # two batches, and the deep retry budget leaves room to change seeds
-    pool = ProcPool(workers=2, chaos=chaos, task_retries=8, crash_tolerance=100)
-    echo = "repro.parallel.procpool:_task_echo"
-
-    def run():
-        return pool.run([ProcCall(echo, (i,)) for i in range(8)])
-
-    try:
-        assert run() == list(range(8))
-        bench(run, rounds=1)
-        stats = pool.stats()
-    finally:
-        pool.shutdown()
-    crash_events = [
-        r for r in obs.tracer().records() if r.get("name") == "worker.crash"
-    ]
-    salvaged = [e for e in crash_events if e["attrs"]["salvaged"]]
-    obs.configure(enabled=False)
-    assert stats["crashes"] >= 1
-    assert len(salvaged) == len(crash_events), "every crash must salvage its ring"
-    bench.record(
-        crashes=stats["crashes"],
-        crash_sigkill=stats["crash_sigkill"],
-        salvaged_crash_events=len(salvaged),
-    )
 
 
 @pytest.mark.parametrize("scale", [64, 512, 4096])

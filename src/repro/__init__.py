@@ -38,7 +38,6 @@ from repro.errors import (
     OverloadedError,
     ParallelError,
     PersistenceError,
-    PoolExhaustedError,
     QueryError,
     QuerySyntaxError,
     RegexSyntaxError,
@@ -51,7 +50,6 @@ from repro.errors import (
     TransactionError,
     UnsupportedSpannerError,
     WindowOverrunError,
-    WorkerCrashError,
 )
 from repro.serve import ServeConfig, SpannerService
 from repro.util import Budget, Deadline
@@ -107,7 +105,6 @@ __all__ = [
     "OverloadedError",
     "ParallelError",
     "PersistenceError",
-    "PoolExhaustedError",
     "QueryError",
     "QuerySyntaxError",
     "Ref",
@@ -130,7 +127,6 @@ __all__ = [
     "TransactionError",
     "UnsupportedSpannerError",
     "WindowOverrunError",
-    "WorkerCrashError",
     "__version__",
     "compile_nfa",
     "core_to_refl_concat",

@@ -66,16 +66,6 @@ text exposition.
     fallback — and prints each window's result delta.  ``--fault-rate``/
     ``--tear-rate``/``--burst-rate`` enable the seeded feed-chaos
     schedule; ``--follow`` keeps tailing a growing file until interrupted.
-
-``obs``       observability tooling::
-
-    python -m repro obs stitch out.jsonl out.jsonl.w*.jsonl
-    python -m repro obs stitch out.jsonl out.jsonl.w*.jsonl --trace 2e4e9f55a117f753
-
-    ``stitch`` merges per-process trace files into one tree per trace
-    id, ordered by start time (workers share the parent's monotonic
-    epoch), with orphaned subtrees — a SIGKILLed worker's spans whose
-    parent never closed — marked ``~``.
 """
 
 from __future__ import annotations
@@ -461,41 +451,6 @@ def _cmd_stream(args) -> int:
     return 0
 
 
-def _cmd_obs(args) -> int:
-    from repro.obs.stitch import load_records, render_tree, stitch
-
-    if args.action == "stitch":
-        if not args.operands:
-            raise SystemExit("usage: obs stitch FILE [FILE ...] [--trace ID]")
-        records = load_records(args.operands)
-        if args.trace is not None:
-            roots = stitch(records, trace=args.trace)
-            if not roots:
-                raise SystemExit(f"error: no records for trace {args.trace!r}")
-            print(f"trace {args.trace}")
-            print(render_tree(roots, indent="  "))
-            return 0
-        traces = sorted(
-            {r["trace"] for r in records if r.get("trace") is not None}
-        )
-        if not traces:
-            # no trace ids at all (e.g. single-process files): render
-            # everything as one tree rather than printing nothing
-            roots = stitch(records)
-            if not roots:
-                raise SystemExit("error: no trace records found")
-            print(render_tree(roots, indent="  "))
-            return 0
-        for position, trace_id in enumerate(traces):
-            if position:
-                print()
-            print(f"trace {trace_id}")
-            print(render_tree(stitch(records, trace=trace_id), indent="  "))
-    else:
-        raise SystemExit(f"unknown obs action {args.action!r}")
-    return 0
-
-
 def _cmd_serve(args) -> int:
     import os
 
@@ -778,19 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.set_defaults(handler=_cmd_stream)
 
-    obs_cmd = commands.add_parser(
-        "obs", help="observability tooling (stitch multi-process trace files)"
-    )
-    obs_cmd.add_argument("action", choices=["stitch"])
-    obs_cmd.add_argument(
-        "operands", nargs="*", metavar="FILE",
-        help="JSONL trace files (the parent's sink plus its .w<pid> files)",
-    )
-    obs_cmd.add_argument(
-        "--trace", default=None, metavar="ID",
-        help="render only this trace id (default: every id found, in order)",
-    )
-    obs_cmd.set_defaults(handler=_cmd_obs)
     return parser
 
 

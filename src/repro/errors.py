@@ -52,8 +52,6 @@ __all__ = [
     "CircuitOpenError",
     "ServiceStoppedError",
     "ParallelError",
-    "WorkerCrashError",
-    "PoolExhaustedError",
     "StreamError",
     "WindowOverrunError",
 ]
@@ -261,38 +259,4 @@ class ServiceStoppedError(ServeError):
 
 
 class ParallelError(SpanlibError, ValueError):
-    """A misconfigured :mod:`repro.parallel` request (unknown backend,
-    invalid shard/worker count)."""
-
-
-class WorkerCrashError(ParallelError, RuntimeError):
-    """Worker processes died faster than the supervised pool could
-    tolerate: the bounded respawn budget or the per-shard retry budget of
-    one :mod:`repro.parallel.procpool` request ran out.
-
-    The request did **no partial work from the caller's point of view** —
-    results are all-or-nothing — and the caller (or the ``"auto"``
-    backend's circuit breaker) may fall back to the thread or serial
-    backend, whose answers are bit-for-bit identical.
-    """
-
-
-class PoolExhaustedError(ParallelError, RuntimeError):
-    """Every process-pool worker is checked out by other requests.
-
-    Admission-control shaped, like :class:`OverloadedError` one layer
-    down: the pool refuses to queue unboundedly behind busy workers.
-    :func:`repro.parallel.document_matrices` raises it to a caller that
-    asked for ``backend="process"`` explicitly; ``"auto"`` folds serially
-    instead.
-
-    Attributes
-    ----------
-    retry_after:
-        Suggested seconds before retrying, from the pool's observed mean
-        request time.
-    """
-
-    def __init__(self, message: str, retry_after: float = 0.0) -> None:
-        super().__init__(message)
-        self.retry_after = float(retry_after)
+    """A misconfigured :mod:`repro.parallel` request: a shard count below 1."""

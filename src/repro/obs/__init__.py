@@ -17,12 +17,10 @@ Usage::
     print(obs.metrics().snapshot())
     obs.configure(enabled=False)       # flushes and detaches the sink
 
-Cross-process requests additionally carry a
+Served requests additionally carry a
 :class:`~repro.obs.context.TraceContext`: :func:`new_trace` mints one at
-the admission point, :func:`use_context` activates it for a scope, and
-:func:`child_context` derives the picklable context that
-``repro.parallel.procpool`` ships to worker processes so their spans
-stitch under the request's tree (``python -m repro obs stitch``).
+the admission point and :func:`use_context` activates it for a scope, so
+every record of the request carries its trace id.
 
 The CLI exposes the same switches: ``python -m repro db store.slpdb query
 ... --trace out.jsonl`` and ``python -m repro db store.slpdb metrics
@@ -54,7 +52,6 @@ __all__ = [
     "Metrics",
     "TraceContext",
     "Tracer",
-    "child_context",
     "configure",
     "current_context",
     "enabled",
@@ -88,9 +85,6 @@ def configure(
         ring.  Ignored unless provided.
     reset:
         Also clear accumulated metrics and in-memory trace records.
-        Safe while pool workers are live: later harvest merges re-create
-        instruments lazily (see :meth:`Metrics.merge`), so no worker
-        telemetry is stranded.
     """
     global _enabled
     if reset:
@@ -121,11 +115,11 @@ def metrics() -> Metrics:
 
 
 # ----------------------------------------------------------------------
-# trace-context helpers (cross-process identity)
+# trace-context helpers (request identity)
 # ----------------------------------------------------------------------
 def new_trace() -> TraceContext:
     """Mint a fresh request-level trace context (admission points only)."""
-    return TraceContext.mint(process=_tracer.process or "main")
+    return TraceContext.mint()
 
 
 def current_context() -> TraceContext | None:
@@ -150,18 +144,6 @@ def use_context(ctx: TraceContext | None):
         _tracer.activate_context(previous)
 
 
-def child_context() -> TraceContext | None:
-    """The context to ship to a child process from *here*.
-
-    The current context re-rooted at the calling thread's innermost open
-    span, so the child's spans nest under the caller's; ``None`` when no
-    context is active (tracing off, or an un-traced entry point)."""
-    ctx = _tracer.current_context()
-    if ctx is None:
-        return None
-    return ctx.child_of(_tracer.current_span_id(), _tracer.process or "main")
-
-
 def _reset_after_fork() -> None:
     """Make the child's obs state safe after ``os.fork``.
 
@@ -169,11 +151,8 @@ def _reset_after_fork() -> None:
     closing it here would duplicate buffered lines into the file, so the
     handle is *abandoned* (the parent still owns the real one).  The
     inherited metric values and any open-span stack are dropped too:
-    they are the *parent's* measurements, and a pool worker that kept
-    them would ship them back as a harvest delta — double-counting
-    everything recorded before the fork.  The child starts disabled —
-    pool workers re-enable via the dispatch spec they receive with their
-    first task."""
+    they are the *parent's* measurements.  The child starts disabled and
+    re-enables through :func:`configure`."""
     global _enabled
     _enabled = False
     _tracer.enabled = False
@@ -183,8 +162,6 @@ def _reset_after_fork() -> None:
     _tracer._lock = threading.Lock()
     _tracer._local = threading.local()
     _tracer._records = []
-    _tracer.record_hook = None
-    _tracer.recent = None
     _metrics.reset()
 
 

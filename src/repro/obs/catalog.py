@@ -9,10 +9,7 @@ metric name fails the build instead of silently forking a time series.
 
 Dynamic names (f-strings) must start with a prefix from
 :data:`METRIC_PREFIXES`; the convention is one classifying suffix segment
-(an exception type, a degradation reason, a crash cause) on a catalogued
-stem.  Per-worker gauge variants like ``x{worker="3"}`` are *not* listed:
-those are produced at merge time by :func:`repro.obs.metrics.qualify`
-from names that are themselves catalogued.
+(an exception type, a failure cause) on a catalogued stem.
 """
 
 from __future__ import annotations
@@ -48,24 +45,10 @@ METRIC_NAMES = frozenset(
         "kernels.plan_cache.hits",
         "kernels.plan_cache.misses",
         "kernels.plan_cache.over_budget",
-        # parallel (serial + process backends)
-        "parallel.degraded",
+        # parallel (the shard fold)
         "parallel.fanout_ns",
         "parallel.fold_ns",
-        "parallel.phase.fanout_ns",
-        "parallel.phase.fold_ns",
-        "parallel.proc.crashes",
-        "parallel.proc.exhausted",
-        "parallel.proc.harvests",
-        "parallel.proc.respawned",
-        "parallel.proc.retries",
-        "parallel.proc.spawned",
-        "parallel.proc.tasks",
         "parallel.shards",
-        "parallel.shm.attach_ns",
-        "parallel.shm.bytes",
-        "parallel.shm.create_ns",
-        "parallel.shm.segments",
         # query (the repro.query language layer)
         "query.evaluations",
         "query.plan.compile",
@@ -121,8 +104,6 @@ METRIC_NAMES = frozenset(
 #: stems that dynamic (f-string) names may extend with one suffix segment
 METRIC_PREFIXES = (
     "db.budget_exceeded.",
-    "parallel.degraded.",
-    "parallel.proc.crashes.",
     "query.plan.",
     "serve.failed.",
 )

@@ -5,14 +5,8 @@ registry in the Prometheus text format (version 0.0.4): counters and
 gauges as single samples, power-of-two histograms as the conventional
 cumulative ``_bucket{le="..."}`` series plus ``_sum`` and ``_count``.
 
-Name handling:
-
-* metric names are sanitised to ``[a-zA-Z0-9_:]`` (dots become
-  underscores, so ``parallel.proc.tasks`` exports as
-  ``parallel_proc_tasks``);
-* a ``{k="v",...}`` suffix produced by
-  :func:`repro.obs.metrics.qualify` (how :meth:`Metrics.merge` keys
-  per-worker gauges) is split back out into Prometheus labels.
+Metric names are sanitised to ``[a-zA-Z0-9_:]`` (dots become
+underscores, so ``serve.queue_ns`` exports as ``serve_queue_ns``).
 
 Histogram ``le`` bounds are the buckets' upper edges ``2^i`` — exact
 powers of two rather than the usual decimal ladder, which keeps the
@@ -28,26 +22,10 @@ from repro.obs.metrics import Metrics
 __all__ = ["export_prometheus"]
 
 _NAME_SANITISE = re.compile(r"[^a-zA-Z0-9_:]")
-_LABELLED = re.compile(r"^(?P<name>[^{]+)\{(?P<labels>.*)\}$")
-
-
-def _split(qualified: str) -> tuple[str, str]:
-    """``'x{worker="3"}'`` → ``('x', 'worker="3"')``; plain names pass
-    through with an empty label body."""
-    match = _LABELLED.match(qualified)
-    if match is None:
-        return qualified, ""
-    return match.group("name"), match.group("labels")
 
 
 def _sanitise(name: str) -> str:
     return _NAME_SANITISE.sub("_", name)
-
-
-def _sample(name: str, labels: str, value) -> str:
-    if labels:
-        return f"{name}{{{labels}}} {value}"
-    return f"{name} {value}"
 
 
 def export_prometheus(registry: Metrics | None = None) -> str:
@@ -61,29 +39,25 @@ def export_prometheus(registry: Metrics | None = None) -> str:
     histograms = dict(sorted(registry._histograms.items()))
 
     lines: list[str] = []
-    for qualified, value in snapshot_counters.items():
-        raw, labels = _split(qualified)
+    for raw, value in snapshot_counters.items():
         name = _sanitise(raw) + "_total"
         lines.append(f"# TYPE {name} counter")
-        lines.append(_sample(name, labels, value))
-    for qualified, value in snapshot_gauges.items():
-        raw, labels = _split(qualified)
+        lines.append(f"{name} {value}")
+    for raw, value in snapshot_gauges.items():
         name = _sanitise(raw)
         lines.append(f"# TYPE {name} gauge")
-        lines.append(_sample(name, labels, value))
-    for qualified, hist in histograms.items():
-        raw, labels = _split(qualified)
+        lines.append(f"{name} {value}")
+    for raw, hist in histograms.items():
         name = _sanitise(raw)
         lines.append(f"# TYPE {name} histogram")
-        prefix = f"{labels}," if labels else ""
         cumulative = 0
         for i, bucket in enumerate(hist.counts):
             if not bucket:
                 continue
             cumulative += bucket
             upper = 0 if i == 0 else 1 << i
-            lines.append(f'{name}_bucket{{{prefix}le="{upper}"}} {cumulative}')
-        lines.append(f'{name}_bucket{{{prefix}le="+Inf"}} {hist.count}')
-        lines.append(_sample(name + "_sum", labels, hist.total))
-        lines.append(_sample(name + "_count", labels, hist.count))
+            lines.append(f'{name}_bucket{{le="{upper}"}} {cumulative}')
+        lines.append(f'{name}_bucket{{le="+Inf"}} {hist.count}')
+        lines.append(f"{name}_sum {hist.total}")
+        lines.append(f"{name}_count {hist.count}")
     return "\n".join(lines) + "\n" if lines else ""

@@ -20,22 +20,10 @@ from __future__ import annotations
 import math
 import threading
 
-__all__ = ["Counter", "Gauge", "Histogram", "Metrics", "qualify"]
+__all__ = ["Counter", "Gauge", "Histogram", "Metrics"]
 
 #: bit_length of a 63-bit int is at most 63; one bucket per bit_length
 _NUM_BUCKETS = 64
-
-
-def qualify(name: str, labels: dict | None) -> str:
-    """Append a deterministic ``{k="v",...}`` label suffix to *name*.
-
-    Keys are sorted so the same label set always produces the same
-    registry key; :func:`repro.obs.export.export_prometheus` splits the
-    suffix back out into Prometheus labels."""
-    if not labels:
-        return name
-    body = ",".join(f'{k}="{labels[k]}"' for k in sorted(labels))
-    return f"{name}{{{body}}}"
 
 
 class Counter:
@@ -208,47 +196,6 @@ class Metrics:
                 if instrument is None:
                     instrument = self._histograms[name] = Histogram()
         return instrument
-
-    # ------------------------------------------------------------------
-    def merge(self, delta: dict, labels: dict | None = None) -> None:
-        """Fold a harvested *delta* (see :mod:`repro.obs.harvest`) into
-        this registry.
-
-        Counters and histograms merge **exactly** — increments add and
-        power-of-two buckets are alignment-free, so merging per-worker
-        deltas is associative and commutative (property-tested).  Gauges
-        are last-writer-wins *per label set*: with ``labels={"worker": 3}``
-        a gauge ``x`` lands as ``x{worker="3"}``, so concurrent workers
-        never clobber each other's point-in-time readings.
-
-        Instruments are created lazily, so a merge arriving after
-        ``obs.configure(reset=True)`` re-creates everything it touches —
-        worker telemetry harvested across a reset is never stranded.
-
-        The whole merge runs under the registry's creation lock: unlike
-        hot-path updates (deliberately lock-free, see the class docstring)
-        a merge is a per-task-result event, and exactness here is what
-        makes cross-process totals trustworthy."""
-        with self._create_lock:
-            for name, amount in delta.get("counters", {}).items():
-                counter = self._counters.get(name)
-                if counter is None:
-                    counter = self._counters[name] = Counter()
-                counter.value += int(amount)
-            for name, value in delta.get("gauges", {}).items():
-                name = qualify(name, labels)
-                gauge = self._gauges.get(name)
-                if gauge is None:
-                    gauge = self._gauges[name] = Gauge()
-                gauge.value = value
-            for name, payload in delta.get("histograms", {}).items():
-                histogram = self._histograms.get(name)
-                if histogram is None:
-                    histogram = self._histograms[name] = Histogram()
-                counts = histogram.counts
-                for index, count in payload.get("counts", {}).items():
-                    counts[int(index)] += int(count)
-                histogram.total += int(payload.get("sum", 0))
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:

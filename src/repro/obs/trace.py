@@ -27,16 +27,10 @@ emission (ring append / sink write) and id allocation are serialised by a
 small lock, so JSONL lines never interleave mid-line; the lock is only
 ever touched when tracing is enabled.
 
-Cross-process extensions (ISSUE 7): a tracer may carry a *process label*
-(``process``) stamped on every record as ``"proc"``, and a thread may
-activate a :class:`~repro.obs.context.TraceContext` — records then carry
-``"trace"`` (the request's trace id) and a span with no local parent
-adopts the context's remote parent (``"parent"`` + ``"parent_proc"``).
-``set_epoch`` aligns a worker tracer's clock origin with its parent's so
-``t0_ns`` values are directly comparable across the per-process JSONL
-files that :mod:`repro.obs.stitch` merges.  A ``record_hook`` (used by
-the worker-side flight recorder) and a bounded ``recent`` ring (drained
-by telemetry harvests) observe every record as it is emitted.
+Request identity: a thread may activate a
+:class:`~repro.obs.context.TraceContext`; records emitted while it is
+active carry ``"trace"`` (the request's trace id), so every span and
+event of one request can be picked out of a shared trace file.
 """
 
 from __future__ import annotations
@@ -44,7 +38,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import deque
 from typing import IO
 
 __all__ = ["Tracer"]
@@ -104,11 +97,6 @@ class _Span:
         ctx = tracer.current_context()
         if ctx is not None:
             record["trace"] = ctx.trace_id
-            if self.parent is None and ctx.parent_span_id is not None:
-                record["parent"] = ctx.parent_span_id
-                record["parent_proc"] = ctx.process
-        if tracer.process is not None:
-            record["proc"] = tracer.process
         tracer._emit(record)
         return False
 
@@ -133,10 +121,8 @@ class Tracer:
         enabled: bool = False,
         sink=None,
         max_records: int = 100_000,
-        process: str | None = None,
     ) -> None:
         self.enabled = bool(enabled)
-        self.process = process
         self._records: list[dict] = []
         self._local = threading.local()
         self._lock = threading.Lock()
@@ -147,12 +133,6 @@ class Tracer:
         self._sink_path: str | None = None
         self._sink_file: IO[str] | None = None
         self._owns_sink = False
-        #: bounded ring of recent records (telemetry harvests drain it);
-        #: None until a harvester asks for retention via keep_recent()
-        self.recent: deque | None = None
-        #: called with every emitted record (the flight recorder's mirror);
-        #: must never raise into the hot path
-        self.record_hook = None
         self.set_sink(sink)
 
     @property
@@ -164,7 +144,7 @@ class Tracer:
         return stack
 
     # ------------------------------------------------------------------
-    # cross-process identity
+    # request identity
     # ------------------------------------------------------------------
     def current_context(self):
         """This thread's active :class:`~repro.obs.context.TraceContext`
@@ -176,47 +156,6 @@ class Tracer:
         previous = getattr(self._local, "context", None)
         self._local.context = ctx
         return previous
-
-    def current_span_id(self) -> int | None:
-        """Id of this thread's innermost open span (``None`` outside any)."""
-        stack = getattr(self._local, "stack", None)
-        return stack[-1].id if stack else None
-
-    def set_epoch(self, epoch_ns: int) -> None:
-        """Align this tracer's clock origin with another process's.
-
-        ``perf_counter_ns`` reads ``CLOCK_MONOTONIC``, which is system-wide
-        on Linux, so a worker that adopts its parent's epoch emits ``t0_ns``
-        values directly comparable with the parent's trace file."""
-        self._epoch = int(epoch_ns)
-
-    @property
-    def epoch_ns(self) -> int:
-        return self._epoch
-
-    @property
-    def sink_path(self) -> str | None:
-        """The path sink, if the sink was given as a path (else ``None``)."""
-        return self._sink_path
-
-    def keep_recent(self, capacity: int = 64) -> deque:
-        """Retain the last *capacity* records in :attr:`recent` (idempotent;
-        re-sizing replaces the ring)."""
-        if self.recent is None or self.recent.maxlen != capacity:
-            self.recent = deque(maxlen=capacity)
-        return self.recent
-
-    def drain_recent(self) -> list[dict]:
-        """Pop and return everything in the recent-record ring."""
-        ring = self.recent
-        if not ring:
-            return []
-        drained = []
-        while True:
-            try:
-                drained.append(ring.popleft())
-            except IndexError:
-                return drained
 
     # ------------------------------------------------------------------
     # configuration
@@ -284,19 +223,7 @@ class Tracer:
         ctx = self.current_context()
         if ctx is not None:
             record["trace"] = ctx.trace_id
-            if record["parent"] is None and ctx.parent_span_id is not None:
-                record["parent"] = ctx.parent_span_id
-                record["parent_proc"] = ctx.process
-        if self.process is not None:
-            record["proc"] = self.process
         self._emit(record)
-
-    def ingest(self, record: dict) -> None:
-        """Re-emit a record produced elsewhere (a harvested worker span)
-        verbatim — it already carries its own ``proc``/``trace`` labels."""
-        if not self.enabled:
-            return
-        self._emit(dict(record))
 
     def _emit(self, record: dict) -> None:
         with self._lock:
@@ -309,15 +236,6 @@ class Tracer:
                 self._records.append(record)
             else:
                 self.dropped += 1
-        ring = self.recent
-        if ring is not None:
-            ring.append(record)
-        hook = self.record_hook
-        if hook is not None:
-            try:
-                hook(record)
-            except Exception:  # never let a mirror break the traced path
-                pass
 
     # ------------------------------------------------------------------
     # inspection
@@ -329,8 +247,6 @@ class Tracer:
     def clear(self) -> None:
         self._records.clear()
         self._stack.clear()
-        if self.recent is not None:
-            self.recent.clear()
         self.dropped = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

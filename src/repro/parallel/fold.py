@@ -19,26 +19,27 @@ operands with |Q| < 2²⁴), so the combine is associative *bit-for-bit*:
 any parenthesisation — the SLP's parse tree, this module's balanced
 pairwise reduction, or a k-way shard split — packs to identical words.
 That is what lets :mod:`repro.parallel` split a document into shards,
-fold each shard on its own worker, and fold the shard entries on the
-caller's thread, with equality to the serial result asserted (not hoped
-for) by the differential test suite, and what lets the stream guard
-compare an SLP root entry against a raw-feed fold.
+fold each shard, and fold the shard entries, with equality to the SLP
+result asserted (not hoped for) by the differential test suite, and what
+lets the stream guard compare an SLP root entry against a raw-feed fold.
 
 Unlike ``preprocess`` — whose per-node Python loop is the right shape for
 a *dedup-friendly* SLP DAG — a whole reduction level here is advanced
-with a handful of *batched* numpy operations (stacked float32 matmul,
-``take_along_axis`` gathers, word-wise unions) on ``(m, q, ·)`` arrays,
-with no per-entry Python objects anywhere inside a shard.  The batching
-is what pays (≥ 2× over a scalar per-character fold, in practice ~20×,
-``benchmarks/bench_parallel.py``).  No duplicate-product
-collapsing happens inside a shard — O(n·|Q|³) arithmetic instead of the
-SLP path's O(|S|·|Q|³) — which is why the compressed path still wins on
-repetitive documents (see ``docs/PERFORMANCE.md``).
+with a handful of *batched* numpy operations (one stacked
+:func:`~repro.kernels.bitmat.mm_rows` product, ``take_along_axis``
+gathers, word-wise unions) on ``(m, q, ·)`` arrays, with no per-entry
+Python objects anywhere inside a shard.  The batching is what pays (≥ 2×
+over a scalar per-character fold, in practice ~20×,
+``benchmarks/bench_parallel.py``).  No duplicate-product collapsing
+happens inside a shard — O(n·|Q|³) arithmetic instead of the SLP path's
+O(|S|·|Q|³) — which is why the compressed path still wins on repetitive
+documents (see ``docs/PERFORMANCE.md``).
 
 Memory is bounded by folding in *chunks*: each chunk of ``chunk_size``
 characters is reduced to a single entry before the next chunk is touched,
-so the transient float32 working set is ``O(chunk_size · |Q|²)`` per
-worker regardless of document length.
+so a level's working set (:func:`level_bytes`: the float32 operands and
+counts ``mm_rows`` multiplies, plus the packed rows the combine builds)
+is ``O(chunk_size · |Q|²)`` regardless of document length.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ __all__ = [
     "combine",
     "fold_entries",
     "identity_entry",
+    "level_bytes",
     "reduce_stack",
     "shard_spans",
     "text_entry",
@@ -66,9 +68,9 @@ __all__ = [
 
 _DEAD = -1
 
-#: characters folded per reduction block: bounds each worker's transient
-#: float32 stacks at ``3 · chunk/2 · |Q|² · 4`` bytes while keeping the
-#: batched matmuls large enough to amortise numpy call overhead
+#: characters folded per reduction block: bounds a level's working set at
+#: ``level_bytes(chunk/2, |Q|)`` while keeping the batched matmuls large
+#: enough to amortise numpy call overhead
 DEFAULT_CHUNK = 1024
 
 #: an entry is (σ: (q,) int64, T: BitMatrix, T_em: BitMatrix) — the same
@@ -103,6 +105,19 @@ def shard_spans(n: int, shards: int) -> list[tuple[int, int]]:
     return spans
 
 
+def level_bytes(pairs: int, q: int) -> int:
+    """Bytes one reduction level of *pairs* combines materialises.
+
+    :func:`~repro.kernels.bitmat.mm_rows` unpacks both operand stacks to
+    float32, multiplies them into float32 counts and masks the counts
+    (three float32 and one bool ``(pairs, q, q)`` array); the combine then
+    builds packed ``(pairs, q, words_for(q))`` uint64 rows (the product,
+    the pulled ``T_em_R``, the new ``T_em`` and ``T``) and the new
+    ``(pairs, q)`` int64 σ.  Checked against the level's measured peak
+    allocation in ``tests/test_parallel.py``."""
+    return pairs * q * (13 * q + 4 * words_for(q) * 8 + 8)
+
+
 def _combine_level(sigmas, t_rows, t_em_rows, q: int):
     """One reduction level: combine entries (0,1), (2,3), … batched.
 
@@ -129,7 +144,7 @@ def reduce_stack(stack, q: int, budget=None):
 
     A :class:`~repro.util.Budget` is charged one step per combined pair
     (the same O(|Q|³)-product unit ``preprocess`` charges per fresh node)
-    and ``charge_bytes`` guards each level's transient float32 stacks."""
+    and ``charge_bytes`` guards each level's :func:`level_bytes`."""
     sigmas, t_rows, t_em_rows = stack
     if sigmas.shape[0] == 0:
         return identity_entry(q)
@@ -137,9 +152,7 @@ def reduce_stack(stack, q: int, budget=None):
         if budget is not None:
             pairs = sigmas.shape[0] // 2
             budget.step(pairs)
-            budget.charge_bytes(
-                3 * pairs * q * q * 4, what="parallel fold level"
-            )
+            budget.charge_bytes(level_bytes(pairs, q), what="parallel fold level")
         sigmas, t_rows, t_em_rows = _combine_level(sigmas, t_rows, t_em_rows, q)
     return (
         sigmas[0],
@@ -194,8 +207,7 @@ def text_entry(
     stack of distinct entries; each ``chunk_size`` block of positions is
     gathered from it and reduced fully before the next is touched, then
     the per-chunk entries are folded — the value is independent of
-    *chunk_size* (associativity), only the peak working set changes.  The
-    serial loop and the process backend's workers both fold through here."""
+    *chunk_size* (associativity), only the peak working set changes."""
     distinct, inverse = np.unique(char_codes(text), return_inverse=True)
     if inverse.size == 0:
         return identity_entry(q)

@@ -40,7 +40,7 @@ __all__ = ["ArenaIndex"]
 
 _attach_lock = threading.Lock()
 # a process forked while another thread held the lock would inherit it held
-# forever (the process pool forks from serving threads)
+# forever (a caller may fork from a process with serving threads)
 os.register_at_fork(after_in_child=_attach_lock._at_fork_reinit)
 
 

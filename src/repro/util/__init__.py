@@ -6,7 +6,6 @@ from repro.util.retry_after import RetryAfterHint
 from repro.util.faults import (
     ChaosInjector,
     FeedChaos,
-    WorkerChaos,
     fail_at_allocation,
     fail_at_call,
     fail_in_preprocess,
@@ -28,7 +27,6 @@ __all__ = [
     "Deadline",
     "FeedChaos",
     "RetryAfterHint",
-    "WorkerChaos",
     "fail_at_allocation",
     "fail_at_call",
     "fail_in_preprocess",

@@ -1,9 +1,8 @@
 """A circuit breaker: trip on consecutive failures, probe to recover.
 
-It lives in :mod:`repro.util` because two layers that must not import
-each other use it: :mod:`repro.serve` guards the SLP-compressed
-evaluation path with one, and :mod:`repro.parallel` guards its process
-backend with another (:func:`repro.parallel.process_breaker`).
+:mod:`repro.serve` guards the SLP-compressed evaluation path with one,
+and :class:`repro.serve.StreamSession` guards its rebuild fallback with
+another.
 
 The compressed evaluator is the fast path — O(log |D|) delay — but it is
 also the *stateful* path: shared matrix caches, arena-backed nodes, and

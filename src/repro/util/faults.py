@@ -16,10 +16,6 @@ non-durable record — is only worth anything if it survives failures at the
 * :class:`ChaosInjector` — a *seedable, concurrency-aware* probabilistic
   schedule of errors and delays for multi-threaded chaos runs (the
   :mod:`repro.serve` chaos suite);
-* :class:`WorkerChaos` — the process-pool counterpart: a picklable,
-  seeded schedule of worker **SIGKILLs and stalls** evaluated *inside*
-  :mod:`repro.parallel.procpool` workers, for chaos runs where the
-  failure is a dead process rather than a raised exception;
 * :class:`FeedChaos` — the streaming counterpart: a seeded schedule of
   feed misbehaviour (torn chunks, bursts, stalls, mid-window evaluator
   faults) consumed by :class:`repro.serve.StreamSession` and the
@@ -37,7 +33,7 @@ Determinism contract
 Every injection in this module is a pure function of explicit inputs — a
 call counter (:func:`fail_at_call` family) or an explicit integer seed.
 There is **no module-level RNG state**: every seeded schedule
-(:class:`ChaosInjector`, :class:`WorkerChaos`, :class:`FeedChaos`) draws
+(:class:`ChaosInjector`, :class:`FeedChaos`) draws
 from the one function :func:`_schedule_rng`, ``random.Random(f"{seed}:
 {site}:{k}")``, so two runs with the same seed draw the same fault
 schedule and a chaos-test failure replays exactly from its seed.  For
@@ -55,7 +51,6 @@ import contextlib
 import dataclasses
 import os
 import random
-import signal
 import threading
 import time
 from typing import Iterator
@@ -65,7 +60,6 @@ from repro.errors import FaultInjectedError
 __all__ = [
     "ChaosInjector",
     "FeedChaos",
-    "WorkerChaos",
     "fail_at_call",
     "fail_at_allocation",
     "fail_in_preprocess",
@@ -278,50 +272,6 @@ class ChaosInjector:
 
 
 @dataclasses.dataclass(frozen=True)
-class WorkerChaos:
-    """A seeded schedule of worker-process kills and stalls.
-
-    Instances are immutable and picklable: the parent ships one to every
-    :mod:`repro.parallel.procpool` worker, and each worker consults it
-    *before* executing a task.  The verdict for a task is a pure function
-    of ``(seed, key)``, where the pool's task key is ``(run, call index,
-    attempt)``: the pool's run number, the call's position in its batch,
-    and how many times it was dispatched before.  None of these depends
-    on timing or on which worker takes the task, so the same batches on a
-    fresh pool meet the same kills and stalls — which task is killed, not
-    only how many.  A re-dispatched (retried) task has a higher attempt
-    and therefore a fresh draw — chaos cannot deterministically kill
-    every retry of one shard.
-
-    ``"kill"`` sends the worker ``SIGKILL`` — no cleanup, no goodbye, the
-    exact failure mode of the OOM killer; ``"stall"`` sleeps through the
-    supervisor's patience so deadline-kill and lost-shard retry paths get
-    exercised too.
-    """
-
-    seed: int
-    kill_rate: float = 0.0
-    stall_rate: float = 0.0
-    stall_seconds: float = 0.05
-
-    def decide(self, key) -> str | None:
-        """``"kill"``, ``"stall"``, or ``None`` for the task *key*."""
-        return _verdict(
-            _schedule_rng(self.seed, "proc-worker", key).random(),
-            ("kill", self.kill_rate),
-            ("stall", self.stall_rate),
-        )
-
-    def apply(self, key) -> None:
-        """Enact the verdict in the calling (worker) process."""
-        verdict = self.decide(key)
-        if verdict == "kill":
-            os.kill(os.getpid(), signal.SIGKILL)
-        elif verdict == "stall":
-            time.sleep(self.stall_seconds)
-
-
-@dataclasses.dataclass(frozen=True)
 class FeedChaos:
     """A seeded schedule of live-feed misbehaviour for streaming chaos runs.
 
@@ -343,7 +293,7 @@ class FeedChaos:
       backpressure and deadline overruns), or ``None``.
 
     The verdict for window *k* is ``f(seed, k)`` — the same
-    concurrency-aware determinism contract as :class:`WorkerChaos`.
+    concurrency-aware determinism contract as :class:`ChaosInjector`.
     """
 
     seed: int

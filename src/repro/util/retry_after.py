@@ -1,9 +1,7 @@
 """The retry-after estimator shared by every backpressure signal.
 
-It lives in :mod:`repro.util` rather than :mod:`repro.serve` because the
-process pool of :mod:`repro.parallel` raises its own backpressure
-(:class:`~repro.errors.PoolExhaustedError`) and must not import the
-serving layer.
+It lives in :mod:`repro.util` beside the circuit breaker, with the other
+mechanisms the serving layer builds its request lifecycle from.
 """
 
 from __future__ import annotations
@@ -16,12 +14,12 @@ __all__ = ["RetryAfterHint"]
 class RetryAfterHint:
     """One EWMA of observed service time, shared by every admission surface.
 
-    The query-queue shed path, the process pool's
-    :class:`~repro.errors.PoolExhaustedError` and stream backpressure
-    (:class:`repro.serve.StreamSession`) all answer the same question —
+    The query-queue shed path and stream backpressure
+    (:class:`repro.serve.StreamSession`) both answer the same question —
     "how long until the backlog drains?" — so they must answer it from
-    *one* estimator instead of diverging copies: ``hint()`` is queued work × mean service time per worker,
-    floored at 1 ms so honouring clients never busy-spin.
+    *one* estimator instead of diverging copies: ``hint()`` is queued
+    work × mean service time per worker, floored at 1 ms so honouring
+    clients never busy-spin.
 
     Thread-safe; the EWMA seeds from the first sample and then tracks a
     window of ``window`` observations (default 32, matching the historic

@@ -346,14 +346,14 @@ class TestChaosInjectorDeterminism:
 
 
 class TestOneSeededDraw:
-    """Every seeded schedule — :class:`ChaosInjector`, :class:`WorkerChaos`,
-    :class:`FeedChaos` — draws ``random.Random(f"{seed}:{site}:{k}")``, so
+    """Every seeded schedule — :class:`ChaosInjector`, :class:`FeedChaos` —
+    draws ``random.Random(f"{seed}:{site}:{k}")``, so
     a schedule is a pure function of its seed and replays bit-for-bit."""
 
     def test_every_schedule_draws_the_documented_formula(self):
         import random
 
-        from repro.util import ChaosInjector, FeedChaos, WorkerChaos
+        from repro.util import ChaosInjector, FeedChaos
 
         def draw(site, k):
             return random.Random(f"5:{site}:{k}").random()
@@ -362,11 +362,9 @@ class TestOneSeededDraw:
         assert [injector.maybe_delay("enum", 0.5, 0.0) for _ in range(32)] == [
             draw("enum", k) < 0.5 for k in range(32)
         ]
-        worker = WorkerChaos(seed=5, kill_rate=0.2, stall_rate=0.3)
         feed = FeedChaos(seed=5, fault_rate=0.2, stall_rate=0.3)
         for k in range(64):
-            w, f = draw("proc-worker", k), draw("feed-window", k)
-            assert worker.decide(k) == ("kill" if w < 0.2 else "stall" if w < 0.5 else None)
+            f = draw("feed-window", k)
             assert feed.decide(k) == ("fault" if f < 0.2 else "stall" if f < 0.5 else None)
 
     def test_operation_site_replays_whatever_interleaves(self):

@@ -1,5 +1,6 @@
-"""Tests for repro.obs: tracer, metrics, delay profiler, and the
-instrumentation threaded through the engine (ISSUE 2)."""
+"""Tests for repro.obs: tracer, metrics, delay profiler, the
+instrumentation threaded through the engine, the request trace context,
+and the Prometheus export."""
 
 import io
 import json
@@ -7,8 +8,18 @@ import json
 import pytest
 
 from repro import Budget, SpannerDB, obs
+from repro.__main__ import main
 from repro.errors import EvaluationLimitError, MemoryLimitError
-from repro.obs import Counter, DelayProfiler, Gauge, Histogram, Metrics, Tracer
+from repro.obs import (
+    Counter,
+    DelayProfiler,
+    Gauge,
+    Histogram,
+    Metrics,
+    Tracer,
+    export_prometheus,
+)
+from repro.serve import ServeConfig, SpannerService
 
 
 @pytest.fixture(autouse=True)
@@ -284,3 +295,64 @@ class TestInstrumentation:
         list(db.query("m", "logs"))
         assert obs.tracer().records() == []
         assert obs.metrics().snapshot()["counters"] == {}
+
+
+# ----------------------------------------------------------------------
+# request trace context
+# ----------------------------------------------------------------------
+class TestTraceContext:
+    def test_service_admission_mints_the_trace(self):
+        obs.configure(enabled=True, reset=True)
+        db = SpannerDB()
+        for name, text in (("one", "abba" * 4), ("two", "bb"), ("three", "ab" * 9)):
+            db.add_document(name, text)
+        db.register_spanner("s", "(a|b)*!x{ab}(a|b)*")
+        with SpannerService(db, ServeConfig(workers=2)) as service:
+            result = service.query_bulk("s", ["one", "three"], timeout=60)
+            stats = service.stats()
+        assert sorted(result.results) == ["one", "three"]
+        assert "process_pool" not in stats  # the service never reaches the pool
+        traces = {
+            r.get("trace") for r in obs.tracer().records() if r.get("trace")
+        }
+        assert len(traces) == 1  # one admission, one trace id
+
+
+# ----------------------------------------------------------------------
+# Prometheus export
+# ----------------------------------------------------------------------
+class TestPrometheusExport:
+    def test_exposition_format(self):
+        registry = Metrics()
+        registry.counter("db.query_bulk").inc(3)
+        registry.gauge("pool.depth").set(7)
+        registry.histogram("lat.ns").record(5)   # bucket 3, upper bound 8
+        registry.histogram("lat.ns").record(100)  # bucket 7, upper bound 128
+        text = export_prometheus(registry)
+        lines = text.splitlines()
+        assert "# TYPE db_query_bulk_total counter" in lines
+        assert "db_query_bulk_total 3" in lines
+        assert "# TYPE pool_depth gauge" in lines
+        assert "pool_depth 7" in lines
+        assert 'lat_ns_bucket{le="8"} 1' in lines
+        assert 'lat_ns_bucket{le="128"} 2' in lines
+        assert 'lat_ns_bucket{le="+Inf"} 2' in lines
+        assert "lat_ns_sum 105" in lines
+        assert "lat_ns_count 2" in lines
+        assert text.endswith("\n")
+
+    def test_empty_registry_exports_empty(self):
+        assert export_prometheus(Metrics()) == ""
+
+    def test_cli_metrics_prom_format(self, tmp_path, capsys):
+        store = str(tmp_path / "store.slpdb")
+        assert main(["db", store, "add", "d", "aabab"]) == 0
+        trace = str(tmp_path / "out.jsonl")
+        assert main(
+            ["db", store, "bulk", "(a|b)*!x{ab}(a|b)*", "d", "--trace", trace]
+        ) == 0
+        capsys.readouterr()
+        assert main(["db", store, "metrics", "--format", "prom"]) == 0
+        out = capsys.readouterr().out
+        assert "# TYPE db_query_bulk_total counter" in out
+        assert "db_query_bulk_total 1" in out

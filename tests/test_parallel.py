@@ -1,38 +1,36 @@
-"""Tests for :mod:`repro.parallel` — the shard-parallel evaluation
-backend — and for the bulk query API, which needs no parallelism.
+"""Tests for :mod:`repro.parallel` — the shard fold of one plain-text
+document — and for the bulk query API, which needs no parallelism.
 
 The load-bearing property is *bit-for-bit determinism*: the ``(σ, T,
-T_em)`` combine is associative and exact, so every choice of backend,
-worker count, shard split, and chunk size must produce *identical packed
-words* — not merely equal relations.  These tests assert that
-differentially against the serial backend and against the SLP
-``preprocess`` path, then check the bulk API layers
-(``SpannerDB.query_bulk``, ``SpannerService.submit_bulk``) give exactly
-the per-document answers."""
+T_em)`` combine is associative and exact, so every shard split and
+chunk size must produce *identical packed words* — not merely equal
+relations.  These tests assert that differentially against the
+one-shard fold and against the SLP ``preprocess`` path, then check the
+bulk API layers (``SpannerDB.query_bulk``, ``SpannerService.submit_bulk``)
+give exactly the per-document answers."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro import parallel
 from repro.db import SpannerDB
-from repro.errors import ParallelError
+from repro.errors import DeadlineExceededError, MemoryLimitError, ParallelError
 from repro.parallel import (
-    ProcCall,
-    ProcPool,
     combine,
-    default_workers,
     document_matrices,
     fold_entries,
-    get_pool,
     identity_entry,
     is_nonempty_text,
     shard_spans,
 )
+from repro.parallel.fold import _combine_level, level_bytes
 from repro.regex import spanner_from_regex
 from repro.serve import BulkQueryResult, ServeConfig, SpannerService
 from repro.slp import SLP, SLPSpannerEvaluator, balanced_node
+from repro.util import Budget, Deadline
 
 PATTERNS = [
     "!x{(a|b)*}!y{b}!z{(a|b)*}",
@@ -93,7 +91,7 @@ class TestFold:
             q = evaluator.det.num_states
             for _ in range(5):
                 text = "".join(rng.choice("ab") for _ in range(rng.randint(1, 60)))
-                got = document_matrices(evaluator, text, backend="serial")
+                got = document_matrices(evaluator, text)
                 assert _entries_equal(got, _slp_entry(evaluator, text)), (
                     pattern,
                     text,
@@ -103,28 +101,46 @@ class TestFold:
         evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERNS[2]))
         rng = random.Random(13)
         text = "".join(rng.choice("ab") for _ in range(257))
-        anchor = document_matrices(evaluator, text, backend="serial", shards=1)
-        for backend in ("serial", "process"):
-            for shards in (1, 2, 3, 7):
-                for chunk_size in (2, 16, 64, 4096):
-                    got = document_matrices(
-                        evaluator,
-                        text,
-                        backend=backend,
-                        workers=4,
-                        shards=shards,
-                        chunk_size=chunk_size,
-                    )
-                    assert _entries_equal(got, anchor), (backend, shards, chunk_size)
+        anchor = document_matrices(evaluator, text, shards=1)
+        for shards in (1, 2, 3, 7):
+            for chunk_size in (2, 16, 64, 4096):
+                got = document_matrices(
+                    evaluator, text, shards=shards, chunk_size=chunk_size
+                )
+                assert _entries_equal(got, anchor), (shards, chunk_size)
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_lone_surrogate_text_matches_slp_preprocess(self, backend):
+    def test_lone_surrogate_text_matches_slp_preprocess(self):
         """A lone surrogate is a legal ``str`` character but not valid
         UTF-32; the fold must read its code like ``ord()`` does."""
         evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERNS[1]))
         text = "ab\ud800b" * 3
-        got = document_matrices(evaluator, text, backend=backend, shards=2)
+        got = document_matrices(evaluator, text, shards=2)
         assert _entries_equal(got, _slp_entry(evaluator, text))
+
+    def test_wide_unicode_matches_slp_preprocess(self):
+        """Astral-plane characters fold by their code point, across
+        shards, exactly as the SLP path reads them."""
+        evaluator = SLPSpannerEvaluator(spanner_from_regex("(a|\U0001F600)*!x{a}"))
+        text = "a\U0001F600" * 40 + "a"
+        got = document_matrices(evaluator, text, shards=3)
+        assert _entries_equal(got, _slp_entry(evaluator, text))
+
+    def test_steps_are_charged_to_the_budget(self):
+        evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERNS[1]))
+        budget = Budget(max_steps=10_000_000)
+        document_matrices(evaluator, "ab" * 200, shards=2, budget=budget)
+        assert budget.steps > 0
+
+    def test_expired_deadline_raises(self):
+        evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERNS[0]))
+        budget = Budget(deadline=Deadline(at=0.0))
+        with pytest.raises(DeadlineExceededError):
+            document_matrices(evaluator, "ab" * 3000, shards=2, budget=budget)
+
+    def test_invalid_shards_raises(self):
+        evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERNS[1]))
+        with pytest.raises(ParallelError):
+            document_matrices(evaluator, "ab", shards=0)
 
     def test_empty_document(self):
         evaluator = SLPSpannerEvaluator(spanner_from_regex("!x{a*}"))
@@ -158,48 +174,49 @@ class TestFold:
                     assert max(sizes) - min(sizes) <= 1
 
 
-ECHO = "repro.parallel.procpool:_task_echo"
+#: |Q| = 69, so a chunk's first level multiplies 512 pairs of 69×69 stacks
+WIDE_PATTERN = "(a|b)*a(a|b){5}!x{(a|b)*}"
 
 
-class TestPool:
-    """Backend names and the shared process pool behind ``"process"``."""
+class TestLevelBytes:
+    """The fold's memory charge is what a reduction level builds."""
 
-    def test_unknown_backend_raises(self):
-        evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERNS[1]))
-        with pytest.raises(ParallelError):
-            document_matrices(evaluator, "ab", backend="fork")
-        with pytest.raises(ParallelError):
-            document_matrices(evaluator, "ab", backend="bogus")
+    @staticmethod
+    def _evaluator_and_text():
+        evaluator = SLPSpannerEvaluator(spanner_from_regex(WIDE_PATTERN))
+        rng = random.Random(29)
+        return evaluator, "".join(rng.choice("ab") for _ in range(8 * 1024))
 
-    def test_thread_backend_is_gone(self):
-        evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERNS[1]))
-        with pytest.raises(ParallelError):
-            document_matrices(evaluator, "ab", backend="thread")
-        with pytest.raises(ParallelError):
-            is_nonempty_text(evaluator, "ab", backend="thread")
+    def test_charge_tracks_the_measured_level_peak(self):
+        evaluator, text = self._evaluator_and_text()
+        q = evaluator.det.num_states
+        table = evaluator.char_entries("ab")
+        entries = [table[ch] for ch in text[:1024]]
+        sigmas = np.stack([entry[0] for entry in entries])
+        t_rows = np.stack([entry[1].rows for entry in entries])
+        t_em_rows = np.stack([entry[2].rows for entry in entries])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _combine_level(sigmas, t_rows, t_em_rows, q)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        charge = level_bytes(512, q)
+        assert 0.9 <= charge / peak <= 1.15, (charge, peak)
 
-    def test_invalid_workers_raises(self):
-        with pytest.raises(ParallelError):
-            ProcPool(workers=0)
-        evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERNS[1]))
-        with pytest.raises(ParallelError):
-            document_matrices(evaluator, "ab", workers=0)
-
-    def test_results_in_submission_order(self):
-        calls = [ProcCall(ECHO, (i * i,)) for i in range(20)]
-        assert get_pool().run(calls) == [i * i for i in range(20)]
-
-    def test_worker_exception_propagates(self):
-        calls = [
-            ProcCall(ECHO, (1,)),
-            ProcCall("repro.parallel.procpool:_task_raise", ("shard failed",)),
-            ProcCall(ECHO, (2,)),
-        ]
-        with pytest.raises(ParallelError, match="shard failed"):
-            get_pool().run(calls)
-
-    def test_default_workers_positive(self):
-        assert default_workers() >= 1
+    def test_budget_just_above_and_just_below_the_level_bytes(self):
+        """The largest level of a default-chunk fold is a chunk's first,
+        512 pairs: a budget of exactly its bytes folds to the unbudgeted
+        entry, one byte less raises before the level is built."""
+        evaluator, text = self._evaluator_and_text()
+        q = evaluator.det.num_states
+        need = level_bytes(512, q)
+        want = document_matrices(evaluator, text)
+        got = document_matrices(evaluator, text, budget=Budget(max_bytes=need))
+        assert _entries_equal(got, want)
+        with pytest.raises(MemoryLimitError):
+            document_matrices(evaluator, text, budget=Budget(max_bytes=need - 1))
 
 
 class TestQueryBulk:

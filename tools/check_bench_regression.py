@@ -8,8 +8,11 @@ Two modes, one binary:
     every module has rows, every recorded before/after ``speedup`` still
     meets its documented floor (packed kernels ≥ 3x, plan cache ≥ 2x),
     and every recorded observability-overhead ratio stays under its
-    ceiling.  This is the cheap invariant CI runs on every push without
-    executing the perf workload.
+    ceiling.  Every floor and ceiling must name a test that some
+    ``benchmarks/bench_*.py`` defines: a gate on a deleted lane fails
+    here instead of passing silently for want of a row.  This is the
+    cheap invariant CI runs on every push without executing the perf
+    workload.
 
 ``python tools/check_bench_regression.py BASELINE_DIR FRESH_DIR``
     *Compare* a fresh benchmark run against a baseline (typically: copy
@@ -27,11 +30,13 @@ make the 1.3x gate flap.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import pathlib
 import sys
 
-DEFAULT_RESULTS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "results"
+BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+DEFAULT_RESULTS = BENCHMARKS / "results"
 
 # documented floors for the recorded before/after rows (ISSUE 4 acceptance)
 SPEEDUP_FLOORS = {
@@ -41,11 +46,6 @@ SPEEDUP_FLOORS = {
     # shard-parallel evaluation (ISSUE 5): the batched-fold row always
     # exists
     "test_parallel_batched_fold_speedup": 2.0,
-    # supervised process pool (ISSUE 6): the differential and crash-
-    # recovery rows always exist; the 4-worker scaling row only on
-    # machines with >= 4 usable cores.  Shared-memory transport and
-    # supervision are paid from the same wall-clock as the fold itself
-    "test_process_speedup_4_workers": 1.3,
     # sublinear incremental maintenance (ISSUE 9): warm post-edit
     # preprocess vs cold rebuild at the largest (64x) document size —
     # measured ~150x on the reference host, floored far below that
@@ -59,17 +59,14 @@ SPEEDUP_FLOORS = {
     "test_query_planner_reorder_beats_naive": 2.0,
 }
 
-# ceilings for the observability-tax rows (ISSUE 2 contract, extended to the
-# cross-process lanes in ISSUE 7): the recorded ratio fields in BENCH_obs.json
-# must stay under the documented ceiling.  The in-process lanes target ~3%
-# overhead (asserted at 1.25x for timer noise on shared CI machines); the
-# process-pool lane also pays harvest packing and per-worker sink writes per
-# task, hence the looser ceiling.
+# ceilings for the observability-tax rows: the recorded
+# ratio fields in BENCH_obs.json must stay under the documented ceiling.  The
+# lanes target ~3% overhead (asserted at 1.25x for timer noise on shared CI
+# machines).
 OVERHEAD_CEILINGS = {
     "test_o1_disabled_overhead_unmeasurable": ("disabled_over_raw_ratio", 1.10),
     "test_o1_enabled_overhead_under_target": ("enabled_over_disabled_ratio", 1.25),
     "test_o1_slp_eval_enabled_overhead": ("enabled_over_disabled_ratio", 1.25),
-    "test_o3_process_pool_enabled_overhead": ("enabled_over_disabled_ratio", 1.5),
     # streaming ingestion (ISSUE 8): late windows stay within 3x of early
     # ones across 64x feed growth (the log-spine claim), the dedup
     # frontier never exceeds its configured byte bound, and the 30%-fault
@@ -104,9 +101,37 @@ def _load_rows(directory: pathlib.Path) -> dict[str, dict]:
     return rows
 
 
+def defined_benchmarks(directory: pathlib.Path = BENCHMARKS) -> set[str]:
+    """Names of the test functions every ``bench_*.py`` in *directory*
+    defines."""
+    names = set()
+    for path in sorted(directory.glob("bench_*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        names.update(
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("test_")
+        )
+    return names
+
+
+def stale_gates(defined: set[str]) -> list[str]:
+    """Floors and ceilings whose test no benchmark defines any more."""
+    return [
+        f"{table}: {name} names no test in benchmarks/bench_*.py"
+        for table, gates in (
+            ("SPEEDUP_FLOORS", SPEEDUP_FLOORS),
+            ("OVERHEAD_CEILINGS", OVERHEAD_CEILINGS),
+        )
+        for name in sorted(gates)
+        if name not in defined
+    ]
+
+
 def validate(directory: pathlib.Path) -> list[str]:
     """Invariants of a single results directory (the committed baseline)."""
-    problems = []
+    problems = stale_gates(defined_benchmarks())
     for key, row in _load_rows(directory).items():
         floor = SPEEDUP_FLOORS.get(row.get("name", ""))
         speedup = row.get("speedup")

@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
-"""Lint: ``repro.parallel`` and ``repro.serve`` do not import each other.
+"""Lint: import boundaries inside ``src/``.
 
-The process pool (``src/repro/parallel/``) is an evaluation backend; the
-serving layer (``src/repro/serve/``) is a request lifecycle over the
-store.  Neither needs the other, and an import either way drags one
-layer's state and start-up cost into the other (a forked pool worker
-importing the service, a service that can be reached only through the
-pool).  What both use — the circuit breaker, the retry-after hint —
-lives in ``repro.util``.
+* ``repro.parallel`` and ``repro.serve`` do not import each other.  The
+  shard fold (``src/repro/parallel/``) is an evaluation kernel; the
+  serving layer (``src/repro/serve/``) is a request lifecycle over the
+  store.  Neither needs the other, and an import either way drags one
+  layer's state and start-up cost into the other.  What the serving
+  layer shares with other callers — the circuit breaker, the
+  retry-after hint — lives in ``repro.util``.
+* No module imports ``multiprocessing`` (shared memory included).  A
+  supervised process pool and its shared-memory transport were measured
+  and deleted: nothing in the system folds a raw document large enough
+  to pay for worker processes.  A new process path needs a measured
+  reason and a deliberate change to this rule.
 
-This check walks the AST of every module under the two packages,
-lazy imports inside functions included, and fails on any import of the
-other package: ``import repro.serve``, ``from repro.serve.x import y``,
-``from repro import serve``, or the relative spellings of the same.
+This check walks the AST of every module, lazy imports inside functions
+included, and fails on any forbidden import: ``import repro.serve``,
+``from repro.serve.x import y``, ``from repro import serve``, the
+relative spellings of the same, and ``import multiprocessing`` /
+``from multiprocessing.shared_memory import ...``.
 
 Usage::
 
@@ -30,6 +36,7 @@ PACKAGE_ROOT = ROOT / "src"
 
 #: package -> packages it must not import
 FORBIDDEN = {
+    "repro": ("multiprocessing",),
     "repro.parallel": ("repro.serve",),
     "repro.serve": ("repro.parallel",),
 }
@@ -76,9 +83,7 @@ def violations() -> list[str]:
                 for other in forbidden:
                     if any(_within(name, other) for name in names):
                         rel = path.relative_to(ROOT).as_posix()
-                        found.append(
-                            f"{rel}:{node.lineno}: {package} imports {other}"
-                        )
+                        found.append(f"{rel}:{node.lineno}: imports {other}")
     return found
 
 
@@ -86,7 +91,7 @@ def main() -> int:
     found = violations()
     if found:
         print("layering violations (repro.parallel and repro.serve must not"
-              " import each other):")
+              " import each other; nothing imports multiprocessing):")
         for item in found:
             print(item)
         return 1

@@ -9,7 +9,7 @@ whose name is statically known appears there:
 
 * a plain string literal must be an exact ``METRIC_NAMES`` entry (or
   start with an allowed prefix);
-* an f-string (``f"parallel.degraded.{reason}"``) or a ``"stem." + var``
+* an f-string (``f"serve.failed.{type(exc).__name__}"``) or a ``"stem." + var``
   concatenation must *start* with a ``METRIC_PREFIXES`` entry — dynamic
   names are allowed only as one classifying suffix on a reviewed stem;
 * a non-constant name (a variable) is skipped — those sites pass

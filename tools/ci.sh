@@ -16,13 +16,10 @@ python tools/check_no_wallclock.py
 echo "== lint: shared evaluator state stays behind the coordination layer"
 python tools/check_thread_safety.py
 
-echo "== lint: shared-memory segments have a registered unlink path, only flight rings use them"
-python tools/check_shm_hygiene.py
-
 echo "== lint: metric names match the catalog (repro/obs/catalog.py)"
 python tools/check_metric_names.py
 
-echo "== lint: repro.parallel and repro.serve do not import each other"
+echo "== lint: repro.parallel and repro.serve do not import each other; nothing imports multiprocessing"
 python tools/check_layering.py
 
 echo "== bench: committed results meet their recorded speedup floors"
@@ -65,17 +62,6 @@ echo "== streaming chaos smoke lane (seeded feed faults, fast subset)"
 # seeded feed-chaos schedule (torn chunks, bursts, stalls, mid-window
 # faults); slow_fuzz holds the 200-seed differential lane
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q tests/test_stream.py -m "not slow_fuzz"
-
-echo "== process-pool smoke lane (crash isolation)"
-# the functional tests force backend="process" and run in the default
-# suite on any host; this lane re-runs them as a visible gate where the
-# pool can actually spread work, and skips loudly where it cannot
-USABLE_CORES=$(python -c "import os; print(len(os.sched_getaffinity(0)) if hasattr(os, 'sched_getaffinity') else (os.cpu_count() or 1))")
-if [ "$USABLE_CORES" -lt 2 ]; then
-    echo "SKIP: process smoke lane needs >= 2 usable cores, have $USABLE_CORES"
-else
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q tests/test_procpool.py
-fi
 
 echo "== perfbench tracer lane (a traced run still reaches every layer)"
 # perfbench's tracer patches kernel and stream functions by name; renaming
