@@ -1,4 +1,4 @@
-"""Experiment PAR: the shard fold of plain-text evaluation.
+"""Experiment PAR: the batched fold of plain-text evaluation.
 
 Claim, asserted as a *shape* (who wins, and that the answers are
 identical), never as absolute numbers:
@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from repro.db import SpannerDB
-from repro.parallel import combine, document_matrices, identity_entry
+from repro.parallel import combine, identity_entry, text_entry
 from repro.regex import spanner_from_regex
 from repro.slp import SLPSpannerEvaluator
 
@@ -62,13 +62,14 @@ def test_parallel_batched_fold_speedup(bench):
             entry = combine(entry, table[ch], q)
         return entry
 
-    batched_seconds, batched_entry = _best_of(
-        lambda: document_matrices(evaluator, text, shards=1)
-    )
+    def batched_fold():
+        return text_entry(evaluator.char_entries(text), text, q)
+
+    batched_seconds, batched_entry = _best_of(batched_fold)
     scalar_seconds, scalar_entry = _best_of(scalar_fold, rounds=1)
     assert _entries_equal(batched_entry, scalar_entry)
     speedup = scalar_seconds / batched_seconds
-    bench(lambda: document_matrices(evaluator, text, shards=1), rounds=1)
+    bench(batched_fold, rounds=1)
     bench.record(
         doc_length=len(text),
         scalar_seconds=scalar_seconds,

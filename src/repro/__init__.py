@@ -36,7 +36,6 @@ from repro.errors import (
     MemoryLimitError,
     NotFunctionalError,
     OverloadedError,
-    ParallelError,
     PersistenceError,
     QueryError,
     QuerySyntaxError,
@@ -103,7 +102,6 @@ __all__ = [
     "NotFunctionalError",
     "Open",
     "OverloadedError",
-    "ParallelError",
     "PersistenceError",
     "QueryError",
     "QuerySyntaxError",

@@ -60,7 +60,7 @@ from repro.errors import (
     SpanlibError,
     TransactionError,
 )
-from repro.kernels.plan import plan_cache
+from repro.kernels.plan import evaluator_for, plan_cache
 from repro.slp.balance import rebalance
 from repro.slp.cde import CDE, apply_cde, format_cde, parse_cde
 from repro.slp.build import repair_node
@@ -318,15 +318,7 @@ class SpannerDB:
         half-registered spanner and no orphan matrices."""
         if name in self._spanners:
             raise SchemaError(f"spanner {name!r} already registered")
-        if isinstance(spanner, str):
-            # string sources go through the shared plan cache: repeated
-            # registrations of one regex (across stores or service threads)
-            # compile and determinize once and share one evaluator, whose
-            # per-arena matrix caches keep stores isolated
-            evaluator = plan_cache().get_or_compile(spanner).evaluator
-        else:
-            automaton = getattr(spanner, "automaton", spanner)
-            evaluator = SLPSpannerEvaluator(automaton)
+        evaluator = evaluator_for(spanner)
         with obs.tracer().span("db.register_spanner", spanner=name):
             try:
                 with self.transaction():

@@ -51,7 +51,6 @@ __all__ = [
     "OverloadedError",
     "CircuitOpenError",
     "ServiceStoppedError",
-    "ParallelError",
     "StreamError",
     "WindowOverrunError",
 ]
@@ -257,6 +256,3 @@ class ServiceStoppedError(ServeError):
     """The request was submitted to (or was still queued in) a service
     that has been stopped."""
 
-
-class ParallelError(SpanlibError, ValueError):
-    """A misconfigured :mod:`repro.parallel` request: a shard count below 1."""

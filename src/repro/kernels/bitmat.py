@@ -18,7 +18,7 @@ drop.  Around it:
   on repetitive documents (the reason SLPs exist) most of a wave's
   products are verbatim repeats of each other and are computed once;
 * :func:`combine_rows` is the one ``(σ, T, T_em)`` combine: the SLP wave
-  (:mod:`repro.slp.spanner_eval`) and the shard fold
+  (:mod:`repro.slp.spanner_eval`) and the text fold
   (:mod:`repro.parallel.fold`) both call it, which is why their entries
   agree bit for bit.
 

@@ -31,10 +31,12 @@ compiled artefact per source text:
   :mod:`repro.obs` (``kernels.plan_cache.hits`` / ``.misses`` /
   ``.evictions`` / ``.over_budget``).
 
-``SpannerDB.register_spanner`` routes every string-valued spanner through
-the process-wide cache (:func:`plan_cache`); :mod:`repro.serve` and the
-CLI inherit it through the store.  :func:`configure_plan_cache` resizes
-or resets the process-wide instance.
+:func:`evaluator_for` is the one spanner → evaluator resolution:
+``SpannerDB.register_spanner`` and ``WindowedSpannerStream`` route every
+string-valued spanner through the process-wide cache (:func:`plan_cache`);
+:mod:`repro.serve` and the CLI inherit it through the store and the
+stream.  :func:`configure_plan_cache` resizes or resets the process-wide
+instance.
 """
 
 from __future__ import annotations
@@ -46,7 +48,13 @@ from repro import obs
 from repro.errors import MemoryLimitError
 from repro.util.budget import Budget
 
-__all__ = ["CompiledPlan", "PlanCache", "configure_plan_cache", "plan_cache"]
+__all__ = [
+    "CompiledPlan",
+    "PlanCache",
+    "configure_plan_cache",
+    "evaluator_for",
+    "plan_cache",
+]
 
 #: default bound on resident plan bytes (packed matrices are 8× smaller
 #: than the seed's bool arrays, so this holds hundreds of warm plans)
@@ -78,9 +86,7 @@ def _compile(source: str) -> CompiledPlan:
     from repro.regex.compile import spanner_from_regex
     from repro.slp.spanner_eval import SLPSpannerEvaluator
 
-    spanner = spanner_from_regex(source)
-    automaton = getattr(spanner, "automaton", spanner)
-    evaluator = SLPSpannerEvaluator(automaton)
+    evaluator = SLPSpannerEvaluator(spanner_from_regex(source))
     return CompiledPlan(source, evaluator.det, evaluator)
 
 
@@ -266,3 +272,19 @@ def configure_plan_cache(
     with _default_lock:
         _default_cache = PlanCache(max_entries=max_entries, max_bytes=max_bytes)
         return _default_cache
+
+
+def evaluator_for(spanner):
+    """Resolve *spanner* to an :class:`~repro.slp.SLPSpannerEvaluator`.
+
+    A regex-formula string goes through the process-wide plan cache (one
+    compile and determinisation shared by every caller naming the same
+    source); an evaluator passes through; a ``RegularSpanner`` is
+    unwrapped to its automaton; any automaton gets a fresh evaluator."""
+    from repro.slp.spanner_eval import SLPSpannerEvaluator
+
+    if isinstance(spanner, str):
+        return plan_cache().get_or_compile(spanner).evaluator
+    if isinstance(spanner, SLPSpannerEvaluator):
+        return spanner
+    return SLPSpannerEvaluator(getattr(spanner, "automaton", spanner))

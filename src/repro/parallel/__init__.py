@@ -1,45 +1,24 @@
-"""Shard-folded evaluation of one large plain-text document.
+"""The associative fold of plain text.
 
 The ``(σ, T, T_em)`` algebra that powers compressed spanner evaluation
-(Schmid & Schweikardt [39]) is associative, which makes plain-text
-evaluation a map-reduce: split the document into shards, fold each
-shard's per-character entries, fold the shard entries.  This package
-provides
+(Schmid & Schweikardt [39]) is associative, so a plain-text document's
+entry is a fold of its per-character entries.  This package holds the
+exact, batched fold kernel (:mod:`repro.parallel.fold`), which advances
+a whole reduction level per numpy call; the stream's differential guard
+(:mod:`repro.stream.windowed`) folds the raw feed with it and compares
+the result bit for bit with the SLP root entry.
 
-* the exact, batched fold kernel (:mod:`repro.parallel.fold`), which
-  advances a whole reduction level per numpy call and also backs the
-  stream guard;
-* the entry points (:mod:`repro.parallel.api`):
-  :func:`document_matrices` / :func:`is_nonempty_text`, a serial loop
-  over the shards on the calling thread.
-
-Every entry is bit-for-bit equal across shard and chunk splits; the
-differential test suite asserts this against the SLP ``preprocess`` path
-rather than assuming it.
+Every entry is bit-for-bit equal across chunk splits; the differential
+test suite asserts this against the SLP ``preprocess`` path rather than
+assuming it.
 """
 
-from repro.parallel.api import as_evaluator, document_matrices, is_nonempty_text
-from repro.parallel.fold import (
-    DEFAULT_CHUNK,
-    combine,
-    fold_entries,
-    identity_entry,
-    reduce_stack,
-    shard_spans,
-    text_entry,
-)
+from repro.parallel.fold import combine, identity_entry, text_entry
 
 __all__ = [
-    "DEFAULT_CHUNK",
-    "as_evaluator",
     "combine",
-    "document_matrices",
-    "fold_entries",
     "identity_entry",
-    "is_nonempty_text",
     "live_segments",
-    "reduce_stack",
-    "shard_spans",
     "shutdown_pool",
     "text_entry",
 ]

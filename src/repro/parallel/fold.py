@@ -1,4 +1,4 @@
-"""The associative fold kernel behind shard-parallel evaluation.
+"""The associative fold of plain text behind the stream guard.
 
 A plain-text document is, for evaluation purposes, a product of per-
 character ``(σ, T, T_em)`` entries — the same algebra
@@ -17,29 +17,29 @@ same function the SLP wave calls — and its one product runs through
 boolean/integer computation (the float32 products are exact for 0/1
 operands with |Q| < 2²⁴), so the combine is associative *bit-for-bit*:
 any parenthesisation — the SLP's parse tree, this module's balanced
-pairwise reduction, or a k-way shard split — packs to identical words.
-That is what lets :mod:`repro.parallel` split a document into shards,
-fold each shard, and fold the shard entries, with equality to the SLP
-result asserted (not hoped for) by the differential test suite, and what
-lets the stream guard compare an SLP root entry against a raw-feed fold.
+pairwise reduction, or its chunk split — packs to identical words.  That
+is what lets the stream guard (:mod:`repro.stream.windowed`) compare an
+SLP root entry against a fold of the raw feed, with equality to the SLP
+result asserted (not hoped for) by the differential test suite.
 
 Unlike ``preprocess`` — whose per-node Python loop is the right shape for
 a *dedup-friendly* SLP DAG — a whole reduction level here is advanced
 with a handful of *batched* numpy operations (one stacked
 :func:`~repro.kernels.bitmat.mm_rows` product, ``take_along_axis``
 gathers, word-wise unions) on ``(m, q, ·)`` arrays, with no per-entry
-Python objects anywhere inside a shard.  The batching is what pays (≥ 2×
+Python objects anywhere inside a chunk.  The batching is what pays (≥ 2×
 over a scalar per-character fold, in practice ~20×,
 ``benchmarks/bench_parallel.py``).  No duplicate-product collapsing
-happens inside a shard — O(n·|Q|³) arithmetic instead of the SLP path's
+happens inside a chunk — O(n·|Q|³) arithmetic instead of the SLP path's
 O(|S|·|Q|³) — which is why the compressed path still wins on repetitive
 documents (see ``docs/PERFORMANCE.md``).
 
-Memory is bounded by folding in *chunks*: each chunk of ``chunk_size``
-characters is reduced to a single entry before the next chunk is touched,
-so a level's working set (:func:`level_bytes`: the float32 operands and
-counts ``mm_rows`` multiplies, plus the packed rows the combine builds)
-is ``O(chunk_size · |Q|²)`` regardless of document length.
+Memory is bounded by folding in *chunks*: each chunk of
+:data:`DEFAULT_CHUNK` characters is reduced to a single entry before the
+next chunk is touched, so a level's working set (:func:`level_bytes`:
+the float32 operands and counts ``mm_rows`` multiplies, plus the packed
+rows the combine builds) is ``O(DEFAULT_CHUNK · |Q|²)`` regardless of
+document length.
 """
 
 from __future__ import annotations
@@ -62,15 +62,15 @@ __all__ = [
     "identity_entry",
     "level_bytes",
     "reduce_stack",
-    "shard_spans",
     "text_entry",
 ]
 
 _DEAD = -1
 
 #: characters folded per reduction block: bounds a level's working set at
-#: ``level_bytes(chunk/2, |Q|)`` while keeping the batched matmuls large
-#: enough to amortise numpy call overhead
+#: ``level_bytes(DEFAULT_CHUNK/2, |Q|)`` while keeping the batched matmuls
+#: large enough to amortise numpy call overhead; read at call time, and
+#: the folded value does not depend on it (associativity)
 DEFAULT_CHUNK = 1024
 
 #: an entry is (σ: (q,) int64, T: BitMatrix, T_em: BitMatrix) — the same
@@ -86,23 +86,6 @@ def identity_entry(q: int):
     sigma = np.arange(q, dtype=np.int64)
     t_em = BitMatrix(np.zeros((q, words_for(q)), dtype=np.uint64), q)
     return sigma, function_bits(sigma, q), t_em
-
-
-def shard_spans(n: int, shards: int) -> list[tuple[int, int]]:
-    """Balanced contiguous ``[start, end)`` spans covering ``[0, n)``.
-
-    At most *shards* spans, never an empty one; sizes differ by ≤ 1 so no
-    worker becomes the straggler by construction."""
-    shards = max(1, min(int(shards), n)) if n else 1
-    base, extra = divmod(n, shards)
-    spans = []
-    start = 0
-    for index in range(shards):
-        end = start + base + (1 if index < extra else 0)
-        if end > start:
-            spans.append((start, end))
-        start = end
-    return spans
 
 
 def level_bytes(pairs: int, q: int) -> int:
@@ -171,7 +154,7 @@ def _stack_entries(entries):
 
 
 def fold_entries(entries, q: int, budget=None):
-    """Fold already-scalar entries (e.g. one per shard) into one."""
+    """Fold already-scalar entries (e.g. one per chunk) into one."""
     entries = list(entries)
     if not entries:
         return identity_entry(q)
@@ -194,30 +177,28 @@ def char_codes(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
 
 
-def text_entry(
-    table, text: str, q: int, *, chunk_size: int = DEFAULT_CHUNK, budget=None
-):
-    """``(σ, T, T_em)`` of one text shard: chunked balanced reduction.
+def text_entry(table, text: str, q: int, *, budget=None):
+    """``(σ, T, T_em)`` of *text*: chunked balanced reduction.
 
     *table* maps every distinct character of *text* to its ``(σ, T,
     T_em)`` entry (prefetch via
     :meth:`repro.slp.SLPSpannerEvaluator.char_entries` so the fold never
     touches the locked char-table store).  Character codes
     (:func:`char_codes`) are deduplicated with ``np.unique`` into one
-    stack of distinct entries; each ``chunk_size`` block of positions is
-    gathered from it and reduced fully before the next is touched, then
-    the per-chunk entries are folded — the value is independent of
-    *chunk_size* (associativity), only the peak working set changes."""
+    stack of distinct entries; each :data:`DEFAULT_CHUNK` block of
+    positions is gathered from it and reduced fully before the next is
+    touched, then the per-chunk entries are folded — the value is
+    independent of the chunk size (associativity), only the peak working
+    set changes."""
     distinct, inverse = np.unique(char_codes(text), return_inverse=True)
     if inverse.size == 0:
         return identity_entry(q)
     sigmas, t_rows, t_em_rows = _stack_entries(
         [table[chr(code)] for code in distinct]
     )
-    chunk_size = max(2, int(chunk_size))
     chunk_entries = []
-    for start in range(0, inverse.size, chunk_size):
-        index = inverse[start : start + chunk_size]
+    for start in range(0, inverse.size, DEFAULT_CHUNK):
+        index = inverse[start : start + DEFAULT_CHUNK]
         chunk_entries.append(
             reduce_stack(
                 (sigmas[index], t_rows[index], t_em_rows[index]), q, budget

@@ -33,7 +33,7 @@ transition function, while ``T`` and ``T_em`` are packed
   which batches the BLAS call and collapses duplicate operand pairs
   (repetitive documents — the reason SLPs exist — repeat most products
   verbatim), and finishes the wave with the one batched ``(σ, T, T_em)``
-  combine, :func:`~repro.kernels.bitmat.combine_rows`, that the shard
+  combine, :func:`~repro.kernels.bitmat.combine_rows`, that the text
   fold of :mod:`repro.parallel.fold` uses too;
 * the per-descent pruning products in enumeration become packed row/word
   operations with **zero dtype conversions on the hot path**.
@@ -203,7 +203,7 @@ class SLPSpannerEvaluator:
         """``{ch: (σ, T, T_em)}`` for every distinct character of *chars*.
 
         Prefetches through the shared per-automaton store — one lock
-        acquisition per *distinct* character — so the shard fold of
+        acquisition per *distinct* character — so the text fold of
         :mod:`repro.parallel` reads a plain dict instead of taking the
         store lock once per document position."""
         return {ch: self._char_tables_cache.get(ch) for ch in set(chars)}
@@ -360,8 +360,8 @@ class SLPSpannerEvaluator:
     def entry_is_nonempty(self, entry) -> bool:
         """Does a whole-document ``(σ, T, T_em)`` entry admit any accepted
         run?  Same test as :meth:`is_nonempty`, for entries produced
-        outside the node cache (e.g. the shard-parallel fold of
-        :func:`repro.parallel.document_matrices`)."""
+        outside the node cache (e.g. the text fold of
+        :func:`repro.parallel.text_entry`)."""
         _, T, _ = entry
         return T.row_and_any(self.det.initial, self._cont_end.words)
 

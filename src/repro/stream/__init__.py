@@ -1,9 +1,8 @@
 """Streaming ingestion: incremental spanner evaluation over live feeds.
 
 The first append-oriented subsystem: where :mod:`repro.db` assumes whole
-documents and :mod:`repro.parallel` fans completed documents out, this
-package evaluates a spanner *while the document grows*, one appended
-chunk (a "window") at a time:
+documents, this package evaluates a spanner *while the document grows*,
+one appended chunk (a "window") at a time:
 
 * :class:`WindowedSpannerStream` — the deterministic core.  Each window
   appends its chunk onto the document's strongly balanced SLP via

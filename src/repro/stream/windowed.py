@@ -13,11 +13,11 @@ correctness guarantee bit-for-bit:
 * A **differential guard** maintains the whole-document entry a second
   way — the associative fold of :mod:`repro.parallel.fold` over the raw
   feed characters — and compares it bit-for-bit against the entry
-  computed over the appended SLP.  Exact associativity of the entry
-  algebra makes any mismatch a hard evidence of corruption
-  (:class:`~repro.errors.StreamError`), at which point the caller (see
-  :class:`repro.serve.StreamSession`) falls back to
-  :meth:`WindowedSpannerStream.rebuild`.
+  computed over the appended SLP, on every ingest and every rebuild.
+  Exact associativity of the entry algebra makes any mismatch a hard
+  evidence of corruption (:class:`~repro.errors.StreamError`), at which
+  point the caller (see :class:`repro.serve.StreamSession`) falls back
+  to :meth:`WindowedSpannerStream.rebuild`.
 * Windows emit **deltas**.  Spanner results are not monotone under
   append (a span ending at the old boundary ``n+1`` can stop matching on
   the extended document), so each window reports ``added`` — results
@@ -53,11 +53,11 @@ from repro.errors import (
     StreamError,
     WindowOverrunError,
 )
-from repro.parallel.fold import DEFAULT_CHUNK, combine, identity_entry, text_entry
+from repro.kernels.plan import evaluator_for
+from repro.parallel.fold import combine, identity_entry, text_entry
 from repro.slp.balance import rebalance
 from repro.slp.build import repair_node
 from repro.slp.slp import SLP
-from repro.slp.spanner_eval import SLPSpannerEvaluator
 from repro.util.budget import Budget, Deadline
 
 __all__ = [
@@ -112,22 +112,12 @@ class StreamConfig:
     rebuild_max_chars:
         Decompression guard on the :meth:`WindowedSpannerStream.rebuild`
         fallback, which must materialise the whole document once.
-    differential_guard:
-        Maintain the raw-feed fold and verify it bit-for-bit against the
-        SLP entry after every fully folded window.  Costs
-        ``O(|chunk| · |Q|³)`` per window; disable only when the feed is
-        trusted and profiling shows the fold dominating.
-    chunk_size:
-        Block size of the raw-feed fold (value-independent; peak working
-        set knob, see :func:`repro.parallel.fold.text_entry`).
     """
 
     window_deadline: float | None = None
     max_steps: int | None = None
     frontier_max_bytes: int | None = None
     rebuild_max_chars: int = 10_000_000
-    differential_guard: bool = True
-    chunk_size: int = DEFAULT_CHUNK
 
 
 @dataclass
@@ -172,14 +162,7 @@ class WindowedSpannerStream:
 
     def __init__(self, spanner, config: StreamConfig | None = None) -> None:
         self.config = config or StreamConfig()
-        if isinstance(spanner, str):
-            from repro.kernels.plan import plan_cache
-
-            self._evaluator = plan_cache().get_or_compile(spanner).evaluator
-        elif isinstance(spanner, SLPSpannerEvaluator):
-            self._evaluator = spanner
-        else:
-            self._evaluator = SLPSpannerEvaluator(spanner)
+        self._evaluator = evaluator_for(spanner)
         self._q = self._evaluator.det.num_states
         self.slp = SLP()
         self.node: int | None = None
@@ -193,11 +176,10 @@ class WindowedSpannerStream:
         #: the first window establishes via the decompressed path
         self._frontier_complete = False
         self._text_len = 0
-        #: guard state: the raw-feed fold covers the first _entry_len
-        #: chars; _pending_tail holds ingested chars not yet folded
+        #: guard state: the raw-feed fold covers all but the last
+        #: len(_pending_tail) chars, which are ingested but not yet folded
         #: (non-empty only after a budget overrun mid-ingest)
         self._prefix_entry = identity_entry(self._q)
-        self._entry_len = 0
         self._pending_tail = ""
         self._windows = 0
         self._rebuilds = 0
@@ -241,7 +223,8 @@ class WindowedSpannerStream:
         * a **budget overrun** (:class:`~repro.errors.DeadlineExceededError`
           or :class:`~repro.errors.EvaluationLimitError`) propagates but
           the chunk *is* part of the document — preprocessing and the
-          guard fold are resumable and complete in a later window;
+          guard fold are resumable: the next ingest folds the chunk
+          with its own and checks the guard again;
         * **any other failure** (injected fault, guard trip) rolls the
           arena and all bookkeeping back to the pre-call state, so the
           chunk is *not* ingested and the caller may retry or
@@ -255,19 +238,18 @@ class WindowedSpannerStream:
             self._text_len,
             self._pending_tail,
             self._prefix_entry,
-            self._entry_len,
             self._frontier_complete,
         )
         try:
             self.node = self.slp.append_text(self.node, chunk)
             self._text_len += len(chunk)
+            # queued before preprocess, so an overrun there leaves the
+            # chunk for the next ingest to fold instead of losing it
+            self._pending_tail += chunk
             self._frontier_complete = False
             fresh = self._evaluator.preprocess(self.slp, self.node, budget)
-            if self.config.differential_guard:
-                self._pending_tail += chunk
-                self._fold_pending(budget)
-                if self._entry_len == self._text_len:
-                    self._check_guard()
+            self._fold_pending(budget)
+            self._check_guard(self.slp, self.node, self._prefix_entry, "ingest")
             return fresh
         except EvaluationLimitError:
             # deadline/step overrun: keep the (resumable) partial state
@@ -282,7 +264,6 @@ class WindowedSpannerStream:
                 self._text_len,
                 self._pending_tail,
                 self._prefix_entry,
-                self._entry_len,
                 self._frontier_complete,
             ) = saved
             raise
@@ -290,31 +271,23 @@ class WindowedSpannerStream:
     def _fold_pending(self, budget: Budget | None) -> None:
         """Fold ingested-but-unfolded chars into the raw-feed entry."""
         tail = self._pending_tail
-        if not tail:
-            return
         entry = text_entry(
-            self._evaluator.char_entries(tail),
-            tail,
-            self._q,
-            chunk_size=self.config.chunk_size,
-            budget=budget,
+            self._evaluator.char_entries(tail), tail, self._q, budget=budget
         )
         self._prefix_entry = combine(self._prefix_entry, entry, self._q)
-        self._entry_len += len(tail)
         self._pending_tail = ""
 
-    def _check_guard(self) -> None:
-        """Compare the SLP root entry against the raw-feed fold, bit for bit."""
-        assert self.node is not None
-        root = self._evaluator.node_entry(self.slp, self.node)
-        if _entries_equal(root, self._prefix_entry):
+    def _check_guard(self, slp: SLP, node: int, folded, path: str) -> None:
+        """Compare *node*'s SLP entry against the raw-feed fold *folded*,
+        bit for bit; a mismatch counts a guard trip and raises typed."""
+        if _entries_equal(self._evaluator.node_entry(slp, node), folded):
             return
         self._guard_trips += 1
         if obs.enabled():
             obs.metrics().counter("stream.guard_trips").inc()
         raise StreamError(
-            "differential guard tripped: the incremental SLP entry disagrees "
-            "with the raw-feed fold — compressed state is corrupt, rebuild required"
+            f"differential guard tripped on {path}: the SLP entry disagrees "
+            "with the raw-feed fold — compressed state is corrupt"
         )
 
     # ------------------------------------------------------------------
@@ -352,22 +325,10 @@ class WindowedSpannerStream:
             prefix = identity_entry(self._q)
             if node is not None:
                 fresh = self._evaluator.preprocess(fresh_slp, node, budget)
-                if self.config.differential_guard:
-                    prefix = text_entry(
-                        self._evaluator.char_entries(full),
-                        full,
-                        self._q,
-                        chunk_size=self.config.chunk_size,
-                        budget=budget,
-                    )
-                    if not _entries_equal(
-                        self._evaluator.node_entry(fresh_slp, node), prefix
-                    ):
-                        self._guard_trips += 1
-                        raise StreamError(
-                            "differential guard tripped on the rebuild path — "
-                            "evaluation is unreliable for this spanner/arena"
-                        )
+                prefix = text_entry(
+                    self._evaluator.char_entries(full), full, self._q, budget=budget
+                )
+                self._check_guard(fresh_slp, node, prefix, "rebuild")
         except BaseException:
             # previous state untouched; drop the half-built arena's
             # entries eagerly instead of waiting for its finalizer
@@ -378,7 +339,6 @@ class WindowedSpannerStream:
         self.node = node
         self._text_len = len(full)
         self._prefix_entry = prefix
-        self._entry_len = len(full) if self.config.differential_guard else 0
         self._pending_tail = ""
         if chunk:
             self._frontier_complete = False

@@ -14,6 +14,7 @@ existed.
 """
 
 import threading
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -38,12 +39,12 @@ from repro.kernels import (
     unpack_vec,
     words_for,
 )
-from repro.parallel import text_entry
+from repro.parallel import fold, text_entry
 from repro.regex import spanner_from_regex
 from repro.slp import SLP, SLPSpannerEvaluator
 from repro.slp.balance import rebalance
 from repro.slp.build import repair_node
-from repro.stream import StreamConfig, WindowedSpannerStream
+from repro.stream import WindowedSpannerStream
 from tests.kernel_oracles import (
     reference_combine,
     reference_compose_pure,
@@ -326,16 +327,17 @@ class TestCombine:
         node = rebalance(slp, repair_node(slp, text))
         evaluator.preprocess(slp, node)
         root = evaluator.node_entry(slp, node)
-        folded = text_entry(
-            evaluator.char_entries(text), text, q, chunk_size=chunk_size
-        )
-        _assert_entries_equal(root, folded)
-        # the stream guard folds the raw feed window by window and checks
-        # it against its own SLP root after every window
-        stream = WindowedSpannerStream(pattern, StreamConfig(chunk_size=chunk_size))
-        bounds = sorted({0, len(text), *(c for c in cuts if c < len(text))})
-        for start, end in zip(bounds, bounds[1:]):
-            stream.ingest(text[start:end])
+        # patched inside the body (not by a fixture) so every hypothesis
+        # example runs under its own chunk size
+        with patch.object(fold, "DEFAULT_CHUNK", chunk_size):
+            folded = text_entry(evaluator.char_entries(text), text, q)
+            _assert_entries_equal(root, folded)
+            # the stream guard folds the raw feed window by window and
+            # checks it against its own SLP root after every window
+            stream = WindowedSpannerStream(pattern)
+            bounds = sorted({0, len(text), *(c for c in cuts if c < len(text))})
+            for start, end in zip(bounds, bounds[1:]):
+                stream.ingest(text[start:end])
         assert stream.stats()["guard_trips"] == 0
         _assert_entries_equal(stream._prefix_entry, root)
 

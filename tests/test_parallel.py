@@ -1,31 +1,23 @@
-"""Tests for :mod:`repro.parallel` — the shard fold of one plain-text
+"""Tests for :mod:`repro.parallel` — the fold of one plain-text
 document — and for the bulk query API, which needs no parallelism.
 
 The load-bearing property is *bit-for-bit determinism*: the ``(σ, T,
-T_em)`` combine is associative and exact, so every shard split and
-chunk size must produce *identical packed words* — not merely equal
-relations.  These tests assert that differentially against the
-one-shard fold and against the SLP ``preprocess`` path, then check the
-bulk API layers (``SpannerDB.query_bulk``, ``SpannerService.submit_bulk``)
-give exactly the per-document answers."""
+T_em)`` combine is associative and exact, so every chunk size must
+produce *identical packed words* — not merely equal relations.  These
+tests assert that differentially against the SLP ``preprocess`` path,
+then check the bulk API layers (``SpannerDB.query_bulk``,
+``SpannerService.submit_bulk``) give exactly the per-document answers."""
 
 import random
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
-from repro import parallel
 from repro.db import SpannerDB
-from repro.errors import DeadlineExceededError, MemoryLimitError, ParallelError
-from repro.parallel import (
-    combine,
-    document_matrices,
-    fold_entries,
-    identity_entry,
-    is_nonempty_text,
-    shard_spans,
-)
+from repro.errors import DeadlineExceededError, MemoryLimitError
+from repro.parallel import combine, fold, identity_entry, text_entry
 from repro.parallel.fold import _combine_level, level_bytes
 from repro.regex import spanner_from_regex
 from repro.serve import BulkQueryResult, ServeConfig, SpannerService
@@ -56,12 +48,18 @@ def _slp_entry(evaluator, text):
     return evaluator.node_entry(slp, node)
 
 
+def _fold(evaluator, text, budget=None):
+    """The entry of *text* folded by :func:`repro.parallel.text_entry`."""
+    return text_entry(
+        evaluator.char_entries(text), text, evaluator.det.num_states, budget=budget
+    )
+
+
 class TestFold:
     def test_identity_is_neutral(self):
         evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERNS[0]))
         q = evaluator.det.num_states
-        table = evaluator.char_entries("ab")
-        entry = parallel.text_entry(table, "abba", q)
+        entry = _fold(evaluator, "abba")
         ident = identity_entry(q)
         assert _entries_equal(combine(ident, entry, q), entry)
         assert _entries_equal(combine(entry, ident, q), entry)
@@ -69,14 +67,12 @@ class TestFold:
     def test_combine_is_associative(self):
         evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERNS[1]))
         q = evaluator.det.num_states
-        table = evaluator.char_entries("ab")
         rng = random.Random(7)
         for _ in range(10):
             a, b, c = (
-                parallel.text_entry(
-                    table,
+                _fold(
+                    evaluator,
                     "".join(rng.choice("ab") for _ in range(rng.randint(1, 9))),
-                    q,
                 )
                 for _ in range(3)
             )
@@ -88,68 +84,66 @@ class TestFold:
         rng = random.Random(11)
         for pattern in PATTERNS:
             evaluator = SLPSpannerEvaluator(spanner_from_regex(pattern))
-            q = evaluator.det.num_states
             for _ in range(5):
                 text = "".join(rng.choice("ab") for _ in range(rng.randint(1, 60)))
-                got = document_matrices(evaluator, text)
+                got = _fold(evaluator, text)
                 assert _entries_equal(got, _slp_entry(evaluator, text)), (
                     pattern,
                     text,
                 )
 
-    def test_entry_independent_of_shards_chunks_backend(self):
+    def test_fold_of_several_default_chunks_matches_slp_preprocess(self):
+        """A text longer than one ``DEFAULT_CHUNK`` folds chunk by chunk,
+        then folds the chunk entries, at the real constant."""
+        evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERNS[2]))
+        rng = random.Random(19)
+        text = "".join(rng.choice("ab") for _ in range(2 * fold.DEFAULT_CHUNK + 77))
+        assert _entries_equal(_fold(evaluator, text), _slp_entry(evaluator, text))
+
+    def test_entry_independent_of_chunk_size(self):
         evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERNS[2]))
         rng = random.Random(13)
         text = "".join(rng.choice("ab") for _ in range(257))
-        anchor = document_matrices(evaluator, text, shards=1)
-        for shards in (1, 2, 3, 7):
-            for chunk_size in (2, 16, 64, 4096):
-                got = document_matrices(
-                    evaluator, text, shards=shards, chunk_size=chunk_size
-                )
-                assert _entries_equal(got, anchor), (shards, chunk_size)
+        anchor = _fold(evaluator, text)
+        for chunk_size in (2, 16, 64, 4096):
+            with patch.object(fold, "DEFAULT_CHUNK", chunk_size):
+                got = _fold(evaluator, text)
+            assert _entries_equal(got, anchor), chunk_size
 
     def test_lone_surrogate_text_matches_slp_preprocess(self):
         """A lone surrogate is a legal ``str`` character but not valid
         UTF-32; the fold must read its code like ``ord()`` does."""
         evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERNS[1]))
         text = "ab\ud800b" * 3
-        got = document_matrices(evaluator, text, shards=2)
-        assert _entries_equal(got, _slp_entry(evaluator, text))
+        assert _entries_equal(_fold(evaluator, text), _slp_entry(evaluator, text))
 
     def test_wide_unicode_matches_slp_preprocess(self):
-        """Astral-plane characters fold by their code point, across
-        shards, exactly as the SLP path reads them."""
+        """Astral-plane characters fold by their code point, exactly as
+        the SLP path reads them."""
         evaluator = SLPSpannerEvaluator(spanner_from_regex("(a|\U0001F600)*!x{a}"))
         text = "a\U0001F600" * 40 + "a"
-        got = document_matrices(evaluator, text, shards=3)
-        assert _entries_equal(got, _slp_entry(evaluator, text))
+        assert _entries_equal(_fold(evaluator, text), _slp_entry(evaluator, text))
 
     def test_steps_are_charged_to_the_budget(self):
         evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERNS[1]))
         budget = Budget(max_steps=10_000_000)
-        document_matrices(evaluator, "ab" * 200, shards=2, budget=budget)
+        _fold(evaluator, "ab" * 200, budget)
         assert budget.steps > 0
 
     def test_expired_deadline_raises(self):
         evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERNS[0]))
         budget = Budget(deadline=Deadline(at=0.0))
         with pytest.raises(DeadlineExceededError):
-            document_matrices(evaluator, "ab" * 3000, shards=2, budget=budget)
-
-    def test_invalid_shards_raises(self):
-        evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERNS[1]))
-        with pytest.raises(ParallelError):
-            document_matrices(evaluator, "ab", shards=0)
+            _fold(evaluator, "ab" * 3000, budget)
 
     def test_empty_document(self):
         evaluator = SLPSpannerEvaluator(spanner_from_regex("!x{a*}"))
         q = evaluator.det.num_states
-        entry = document_matrices(evaluator, "")
+        entry = _fold(evaluator, "")
         assert _entries_equal(entry, identity_entry(q))
-        assert is_nonempty_text(evaluator, "")  # ε matches a*
+        assert evaluator.entry_is_nonempty(entry)  # ε matches a*
 
-    def test_is_nonempty_text_agrees_with_slp(self):
+    def test_entry_nonemptiness_agrees_with_slp(self):
         rng = random.Random(17)
         evaluator = SLPSpannerEvaluator(spanner_from_regex("(a|b)*!x{ab}(a|b)*"))
         for _ in range(20):
@@ -160,18 +154,7 @@ class TestFold:
                 want = evaluator.is_nonempty(slp, node)
             else:
                 want = "ab" in text
-            assert is_nonempty_text(evaluator, text) == want, text
-
-    def test_shard_spans_are_balanced_and_cover(self):
-        for n in (0, 1, 2, 5, 100, 257):
-            for shards in (1, 2, 3, 8, 300):
-                spans = shard_spans(n, shards)
-                assert all(end > start for start, end in spans)
-                covered = [i for start, end in spans for i in range(start, end)]
-                assert covered == list(range(n))
-                if spans:
-                    sizes = [end - start for start, end in spans]
-                    assert max(sizes) - min(sizes) <= 1
+            assert evaluator.entry_is_nonempty(_fold(evaluator, text)) == want, text
 
 
 #: |Q| = 69, so a chunk's first level multiplies 512 pairs of 69×69 stacks
@@ -212,11 +195,11 @@ class TestLevelBytes:
         evaluator, text = self._evaluator_and_text()
         q = evaluator.det.num_states
         need = level_bytes(512, q)
-        want = document_matrices(evaluator, text)
-        got = document_matrices(evaluator, text, budget=Budget(max_bytes=need))
+        want = _fold(evaluator, text)
+        got = _fold(evaluator, text, Budget(max_bytes=need))
         assert _entries_equal(got, want)
         with pytest.raises(MemoryLimitError):
-            document_matrices(evaluator, text, budget=Budget(max_bytes=need - 1))
+            _fold(evaluator, text, Budget(max_bytes=need - 1))
 
 
 class TestQueryBulk:

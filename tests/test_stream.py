@@ -22,14 +22,16 @@ import time
 
 import pytest
 
-from repro import RegularSpanner
+from repro import RegularSpanner, obs
 from repro.errors import (
+    EvaluationLimitError,
     MemoryLimitError,
     OverloadedError,
     ServiceStoppedError,
     StreamError,
     WindowOverrunError,
 )
+from repro.parallel import identity_entry
 from repro.regex import spanner_from_regex
 from repro.serve import StreamSession, StreamSessionConfig
 from repro.slp import SLP, balanced_node
@@ -43,7 +45,7 @@ from repro.stream import (
     stream_windows,
 )
 from repro.stream.windowed import _entries_equal
-from repro.util.budget import Deadline
+from repro.util.budget import Budget, Deadline
 from repro.util.faults import FeedChaos
 
 PATTERN = "(a|b)*!x{b}(a|b)*"
@@ -223,6 +225,61 @@ class TestWindowedStream:
         stream.rebuild("b")
         stream.append("")
         assert {str(t) for t in stream.results()} == one_shot(PATTERN, "abb")
+
+    def test_guard_resumes_after_a_budget_overrun_in_preprocess(self):
+        """A chunk whose preprocess overran its budget is folded by the
+        next ingest, so the guard keeps checking the whole document."""
+        stream = WindowedSpannerStream(PATTERN)
+        stream.ingest("abab" * 4)
+        with pytest.raises(EvaluationLimitError):
+            stream.ingest("ab" * 50, Budget(max_steps=1))
+        stream.ingest("ba")
+        assert stream.document_chars == 118
+        root = stream._evaluator.node_entry(stream.slp, stream.node)
+        assert _entries_equal(stream._prefix_entry, root)
+        # forget the folded prefix: the guard must notice on the next ingest
+        stream._prefix_entry = identity_entry(stream._q)
+        with pytest.raises(StreamError):
+            stream.ingest("b")
+        assert stream.stats()["guard_trips"] == 1
+
+    def test_rebuild_guard_trip_reaches_the_metric(self, monkeypatch):
+        """A guard trip on the rebuild path counts in the stat and in the
+        ``stream.guard_trips`` counter operators alert on."""
+        stream = WindowedSpannerStream(PATTERN)
+        stream.append("abab")
+        wrong = identity_entry(stream._q)  # the entry of "", not of "ababb"
+        monkeypatch.setattr(
+            "repro.stream.windowed.text_entry", lambda *args, **kwargs: wrong
+        )
+        obs.configure(enabled=True, reset=True)
+        try:
+            with pytest.raises(StreamError):
+                stream.rebuild("b")
+            counter = obs.metrics().counter("stream.guard_trips").value
+        finally:
+            obs.configure(enabled=False, reset=True)
+        assert counter == 1
+        assert stream.stats()["guard_trips"] == 1
+        assert stream.document_chars == 4  # the failed rebuild committed nothing
+
+    def test_regular_spanner_streams_like_its_regex(self):
+        """Every stream entry point resolves a ``RegularSpanner`` the way
+        ``SpannerDB.register_spanner`` does."""
+        chunks = ["ab", "babb", "", "a" * 9, "bb"]
+        spanner = RegularSpanner.from_regex(PATTERN)
+
+        def deltas(windows):
+            return [
+                (w.window, {str(t) for t in w.added}, {str(t) for t in w.retracted})
+                for w in windows
+            ]
+
+        want = deltas(stream_windows(PATTERN, chunks))
+        assert deltas(stream_windows(spanner, chunks)) == want
+        assert deltas(WindowedSpannerStream(spanner).windows(chunks)) == want
+        results, _ = drive(StreamSession(spanner), chunks)
+        assert deltas(results) == want
 
     def test_rebuild_matches_incremental_path(self):
         rng = random.Random(5)

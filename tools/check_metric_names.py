@@ -16,8 +16,14 @@ whose name is statically known appears there:
   catalogued names along, and the literal at their call sites is what
   gets checked.
 
-A typo'd metric name therefore fails CI instead of silently forking a
-time series that no dashboard is watching.
+The other direction is checked too: every exact ``METRIC_NAMES`` entry
+must appear as a string-literal argument of at least one ``src/`` call —
+an instrument call, or a call that hands the name on (``shed_metric=
+"serve.shed"``) — unless it falls under a ``METRIC_PREFIXES`` stem
+(those may be built from the stem).  A typo'd metric name therefore
+fails CI instead of silently forking a time series that no dashboard is
+watching, and a name whose last emitter was deleted fails instead of
+lingering in the catalog.
 
 Usage::
 
@@ -35,7 +41,11 @@ SCANNED = ["src"]
 INSTRUMENT_METHODS = {"counter", "gauge", "histogram"}
 
 sys.path.insert(0, str(ROOT / "src"))
-from repro.obs.catalog import METRIC_PREFIXES, is_catalogued  # noqa: E402
+from repro.obs.catalog import (  # noqa: E402
+    METRIC_NAMES,
+    METRIC_PREFIXES,
+    is_catalogued,
+)
 
 
 def _static_name(node: ast.expr) -> tuple[str, bool] | None:
@@ -60,11 +70,18 @@ def _static_name(node: ast.expr) -> tuple[str, bool] | None:
 
 def violations() -> list[str]:
     found = []
+    emitted = set()
     for directory in SCANNED:
         for path in sorted((ROOT / directory).rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             rel = path.relative_to(ROOT)
             for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    emitted.update(
+                        arg.value
+                        for arg in [*node.args, *(kw.value for kw in node.keywords)]
+                        if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                    )
                 if not (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
@@ -89,16 +106,25 @@ def violations() -> list[str]:
                         f"{rel}:{node.lineno}: {kind} is not in"
                         " repro/obs/catalog.py"
                     )
+    for name in sorted(METRIC_NAMES - emitted):
+        if not name.startswith(METRIC_PREFIXES):
+            found.append(
+                f"src/repro/obs/catalog.py: metric name {name!r} is passed as"
+                " a literal by no src/ call"
+            )
     return found
 
 
 def main() -> int:
     found = violations()
     if found:
-        print("uncatalogued metric names found:")
+        print("metric names out of step with the catalog:")
         for item in found:
             print(f"  {item}")
-        print("add them to src/repro/obs/catalog.py (or fix the typo)")
+        print(
+            "add them to src/repro/obs/catalog.py (or fix the typo), and drop"
+            " catalog names nothing emits"
+        )
         return 1
     print("check_metric_names: ok")
     return 0
