@@ -41,20 +41,6 @@ def _obs_reset():
     obs.configure(enabled=False, reset=True)
 
 
-def _median_ns(fn, repeats: int = 9) -> float:
-    """Median wall time of *fn* with the GC parked (single-run deltas are
-    milliseconds; collector pauses would dominate the spread)."""
-    samples = []
-    for _ in range(repeats):
-        gc.collect()
-        gc.disable()
-        start = time.perf_counter_ns()
-        fn()
-        samples.append(time.perf_counter_ns() - start)
-        gc.enable()
-    return statistics.median(samples)
-
-
 def _paired_ratio(fn, baseline, pairs: int = 15) -> float:
     """Median of ``time(fn) / time(baseline)`` over back-to-back pairs.
 
@@ -74,6 +60,25 @@ def _paired_ratio(fn, baseline, pairs: int = 15) -> float:
             gc.enable()
         ratios.append(elapsed[fn] / elapsed[baseline])
     return statistics.median(ratios)
+
+
+def _obs_toggled(run):
+    """*run* with observability switched on, and with it off, per call —
+    the two sides of a :func:`_paired_ratio`, so both medians of an
+    enabled/disabled ratio share every pair's host conditions."""
+
+    def enabled():
+        obs.configure(enabled=True)
+        try:
+            return run()
+        finally:
+            obs.configure(enabled=False)
+
+    def disabled():
+        obs.configure(enabled=False)
+        return run()
+
+    return enabled, disabled
 
 
 def test_o1_disabled_overhead_unmeasurable(bench):
@@ -106,12 +111,8 @@ def test_o1_enabled_overhead_under_target(bench):
 
     run()  # warm up
     obs.configure(enabled=False, reset=True)
-    disabled = _median_ns(run)
-    obs.configure(enabled=True, reset=True)
-    enabled = _median_ns(run)
+    ratio = _paired_ratio(*_obs_toggled(run))
     recorded = obs.metrics().histogram("enumeration.delay_ns").count
-    obs.configure(enabled=False)
-    ratio = enabled / disabled
     bench(run)
     bench.record(enabled_over_disabled_ratio=round(ratio, 4))
     assert recorded > 0, "enabled run must populate the delay histogram"
@@ -130,12 +131,8 @@ def test_o1_slp_eval_enabled_overhead(bench):
 
     run()  # warm up (and fill the matrix cache)
     obs.configure(enabled=False, reset=True)
-    disabled = _median_ns(run)
-    obs.configure(enabled=True, reset=True)
-    enabled = _median_ns(run)
+    ratio = _paired_ratio(*_obs_toggled(run))
     hits = obs.metrics().counter("slp.eval.cache_hits").value
-    obs.configure(enabled=False)
-    ratio = enabled / disabled
     bench(run)
     bench.record(enabled_over_disabled_ratio=round(ratio, 4))
     assert hits > 0, "warm cache must register hits once observability is on"

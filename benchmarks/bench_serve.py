@@ -15,6 +15,7 @@ Three claims from the serving issue, measured end to end:
   occasional decompressed evaluation, never unbounded queueing.
 """
 
+import statistics
 import time
 
 from repro import SpannerDB
@@ -25,6 +26,8 @@ from repro.util import ChaosInjector
 PATTERN = "(a|b)*!x{ab}(a|b)*"
 DOC = "ab" * 512
 QUERIES = 30
+#: alternating direct/service pairs behind the overhead ratio
+PAIRS = 9
 
 
 def build_store() -> SpannerDB:
@@ -85,23 +88,36 @@ def test_fault_free_overhead_vs_unguarded(bench):
         for _ in range(QUERIES):
             assert len(list(db.query("m", "d"))) == 512
 
-    bench(direct_loop, rounds=3)
-    start = time.perf_counter()
-    direct_loop()
-    direct_elapsed = time.perf_counter() - start
+    def direct_elapsed():
+        start = time.perf_counter()
+        direct_loop()
+        return time.perf_counter() - start
 
-    round_stats = run_service_round(db, fault_rate=0.0, seed=0)
+    bench(direct_loop, rounds=3)
+    # One direct loop against one service round spread 0.75–1.21x on a
+    # 2-vCPU host for the same code, so the ratio is the median over
+    # pairs that alternate which side runs first.
+    ratios, directs, services = [], [], []
+    for pair in range(PAIRS):
+        if pair % 2:
+            direct = direct_elapsed()
+            round_stats = run_service_round(db, fault_rate=0.0, seed=0)
+        else:
+            round_stats = run_service_round(db, fault_rate=0.0, seed=0)
+            direct = direct_elapsed()
+        assert round_stats["degraded"] == 0
+        assert round_stats["faults_fired"] == 0
+        directs.append(direct)
+        services.append(round_stats["elapsed"])
+        ratios.append(round_stats["elapsed"] / direct)
+    ratio = statistics.median(ratios)
     bench.record(
-        direct_qps=QUERIES / direct_elapsed,
-        service_qps=round_stats["throughput_qps"],
-        overhead_ratio=round_stats["elapsed"] / direct_elapsed,
+        direct_qps=QUERIES / statistics.median(directs),
+        service_qps=QUERIES / statistics.median(services),
+        overhead_ratio=ratio,
     )
-    assert round_stats["degraded"] == 0
-    assert round_stats["faults_fired"] == 0
     # within 10% of unguarded (evaluation dominates; the pool adds ~µs)
-    assert round_stats["elapsed"] <= direct_elapsed * 1.10, (
-        f"service overhead {round_stats['elapsed'] / direct_elapsed:.2f}x"
-    )
+    assert ratio <= 1.10, f"service overhead {ratio:.2f}x"
 
 
 def test_throughput_and_tail_latency_across_fault_rates(bench):

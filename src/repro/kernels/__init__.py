@@ -6,13 +6,13 @@ matrices over the deterministic automaton's state set Q.  This package is
 the dependency-light layer those matrices live on:
 
 * :mod:`repro.kernels.bitmat` — |Q|×|Q| boolean matrices packed into
-  uint64 bit-words (:class:`BitMatrix`), continuation vectors packed the
-  same way (:class:`PackedVec`), and the primitives every consumer is
-  wired onto: the one product over packed row stacks (:func:`mm_rows`)
+  uint64 bit-words (:class:`BitMatrix`) and the primitives every consumer
+  is wired onto: the one product over packed row stacks (:func:`mm_rows`)
   behind the boolean matrix product (:func:`bool_mm`) and the
   wave-batched, duplicate-collapsing product (:func:`bool_mm_many`), the
-  one ``(σ, T, T_em)`` combine (:func:`combine_rows`), packed mat-vec
-  (:func:`matvec`), and σ-scatter (:func:`function_bits`).
+  one ``(σ, T, T_em)`` combine (:func:`combine_rows`), mat-vec against
+  an int-bitset continuation vector (:func:`matvec`), and σ-scatter
+  (:func:`function_bits`).
 * :mod:`repro.kernels.plan` — a bounded, thread-safe LRU cache from
   spanner source text to its compiled plan (deterministic eVA + shared
   evaluator), with byte accounting through :class:`repro.util.Budget`
@@ -24,7 +24,6 @@ layers — no new third-party dependencies.
 
 from repro.kernels.bitmat import (
     BitMatrix,
-    PackedVec,
     bool_mm,
     bool_mm_many,
     combine_rows,
@@ -50,7 +49,6 @@ from repro.kernels.plan import (
 __all__ = [
     "BitMatrix",
     "CompiledPlan",
-    "PackedVec",
     "PlanCache",
     "bool_mm",
     "bool_mm_many",

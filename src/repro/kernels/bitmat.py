@@ -3,9 +3,11 @@
 A |Q|×|Q| boolean reachability matrix is stored as ``ceil(Q/64)`` uint64
 words per row (``numpy.packbits`` layout, little bit order) and nothing
 else: a :class:`BitMatrix` is its packed rows and its column count.  Row
-operations — mat-vec against a continuation vector, union, single-bit
-σ-scatter — are a handful of word-wide numpy operations with **zero dtype
-conversions on the enumeration hot path**.
+operations — union, single-bit σ-scatter — are a handful of word-wide
+numpy operations.  Continuation vectors are plain Python-int bitsets (bit
+*s* is state *s*): :func:`matvec` is the one product between the two
+forms, and the enumeration descent memoises its results, so its own
+tests are int shifts and masks with no numpy at all.
 
 Products go through BLAS in exactly one place, :func:`mm_rows`: a stack
 of packed operand pairs is unpacked, multiplied with one float32 matmul
@@ -42,7 +44,6 @@ from repro import obs
 
 __all__ = [
     "BitMatrix",
-    "PackedVec",
     "bool_mm",
     "bool_mm_many",
     "combine_rows",
@@ -141,40 +142,8 @@ class BitMatrix:
     def to_bool(self) -> np.ndarray:
         return unpack_rows(self.rows, self.q)
 
-    def row_and_any(self, row: int, words: np.ndarray) -> bool:
-        """``(self[row] & v).any()`` without unpacking anything."""
-        return bool((self.rows[row] & words).any())
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BitMatrix({self.n}x{self.q}, words={self.rows.shape[-1]})"
-
-
-class PackedVec:
-    """A boolean continuation vector with a lazily packed word form.
-
-    The enumeration loop needs both single-state tests (``vec.bools[s]``)
-    and whole-vector mat-vec operands (``vec.words``); keeping the bool
-    form primary and packing on first use makes each descent pay only for
-    what it touches.
-    """
-
-    __slots__ = ("bools", "_words")
-
-    def __init__(self, bools: np.ndarray, words: np.ndarray | None = None) -> None:
-        self.bools = bools
-        self._words = words
-
-    @property
-    def words(self) -> np.ndarray:
-        if self._words is None:
-            self._words = pack_vec(self.bools)
-        return self._words
-
-    def any(self) -> bool:
-        return bool(self.bools.any())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PackedVec(q={len(self.bools)}, set={int(self.bools.sum())})"
 
 
 # ----------------------------------------------------------------------
@@ -301,9 +270,15 @@ def combine_rows(
     return sigma, t_em | function_bits_many(sigma, q), t_em
 
 
-def matvec(a: BitMatrix, vec: PackedVec) -> PackedVec:
-    """Boolean ``a @ vec``: which rows of *a* intersect the set *vec*."""
-    return PackedVec((a.rows & vec.words).any(axis=1))
+def matvec(a: BitMatrix, cont: int) -> int:
+    """Boolean ``a @ cont`` on an int bitset: bit *s* of the result is set
+    when row *s* of *a* intersects the state set *cont* (bit *t* = state
+    *t*, so ``cont < 2**a.q``)."""
+    words = np.frombuffer(
+        cont.to_bytes(8 * a.rows.shape[-1], "little"), dtype=np.uint64
+    )
+    hits = np.packbits((a.rows & words).any(axis=1), bitorder="little")
+    return int.from_bytes(hits.tobytes(), "little")
 
 
 def function_bits(sigma: np.ndarray, q: int, dead: int = -1) -> BitMatrix:

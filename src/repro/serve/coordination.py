@@ -13,10 +13,14 @@ therefore serialises access through one :class:`RWLock`:
   explicit transactions) hold the write lock exclusively, so a rollback's
   arena truncation and cache invalidation can never race a reader.
 
-Benign exception: two concurrent readers may both preprocess the same
+Benign exceptions: two concurrent readers may both preprocess the same
 fresh node and write *identical* matrices into the evaluator cache — a
 duplicated computation, never an inconsistency (the matrices are a pure
-function of the automaton and the immutable node).  Everything else that
+function of the automaton and the immutable node).  Likewise readers fill
+the evaluator's continuation memo together, and one may clear it when it
+passes its cap while another reads it: each value is a pure function of
+its key and the node's matrices, so a lost value is only a recomputation.
+Everything else that
 mutates evaluator-cache or arena state must run under :meth:`write` —
 ``tools/check_thread_safety.py`` lints that this stays true.
 

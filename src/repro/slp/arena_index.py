@@ -17,11 +17,17 @@ pays for those alone.  :class:`ArenaIndex` is that memo, once:
   so after an edit it visits O(fresh + log n) nodes, not the document;
 * resident bytes are kept per arena and in total, from the size function
   the owner passes in — every stats call is O(1);
+* beside the entries sits a per-arena **memo** of values the consumer
+  derives from them at query time, keyed ``(node, …)``: the spanner
+  evaluator keeps its continuation products there (see
+  :meth:`~repro.slp.spanner_eval.SLPSpannerEvaluator._runs`).  It is
+  capped at :data:`MEMO_PER_ENTRY` values per cached entry and is not
+  counted in the resident bytes;
 * **the arena owns invalidation.**  An index registers itself in a weak set
   on each :class:`~repro.slp.slp.SLP` it caches.  :meth:`SLP.truncate`
-  drops entries and sealed bits for ids ``>= mark`` in every live index
-  before discarding the nodes (rollback reuses those ids), and one
-  finalizer per arena drops a collected arena's entries.  That finalizer
+  drops entries, memo values and sealed bits for ids ``>= mark`` in every
+  live index before discarding the nodes (rollback reuses those ids), and
+  one finalizer per arena drops a collected arena's entries.  That finalizer
   holds the weak set, never an index, so a cache stays collectable however
   long its arenas live.
 """
@@ -36,6 +42,12 @@ from typing import Callable
 from repro.slp.slp import SLP
 
 __all__ = ["ArenaIndex"]
+
+#: an arena's memo is cleared once it holds this many values per cached
+#: entry of that arena, so a stream of distinct continuations cannot grow
+#: it without bound (warm reads of every perfbench spanner over every
+#: stored document leave 0.1–1.1 values per entry)
+MEMO_PER_ENTRY = 4
 
 
 _attach_lock = threading.Lock()
@@ -72,6 +84,9 @@ class ArenaIndex:
         #: conservative: a node seals only once its entry exists and both
         #: children are sealed, bottom-up over a completed walk
         self._sealed: dict[int, set[int]] = {}
+        #: serial -> (node, …) -> value derived from the entries by the
+        #: consumer (see :meth:`memo`)
+        self._arena_memo: dict[int, dict[tuple, object]] = {}
         #: serial -> resident bytes of that arena's entries
         self._arena_bytes: dict[int, int] = {}
         #: resident bytes over every arena
@@ -85,6 +100,18 @@ class ArenaIndex:
         (treat as read-only; an arena with nothing cached gets a detached
         empty dict)."""
         return self._arena_entries.get(slp.serial, {})
+
+    def memo(self, slp: SLP) -> tuple[dict, int]:
+        """*slp*'s memo dict and its size cap, for a consumer's hot loop.
+
+        Keys are tuples whose first item is a node id; the values must be
+        a pure function of the key and the entries, since concurrent
+        readers fill the dict together (each insert is atomic under the
+        GIL).  The consumer clears the dict when an insert would pass the
+        cap.  An arena with nothing cached gets a detached empty dict."""
+        serial = slp.serial
+        limit = MEMO_PER_ENTRY * len(self._arena_entries.get(serial, ()))
+        return self._arena_memo.get(serial, {}), limit
 
     def node_entry(self, slp: SLP, node: int):
         """The cached value for one node, or ``None``."""
@@ -112,11 +139,13 @@ class ArenaIndex:
         return len(self._sealed.get(serial, ()))
 
     def arena_cache_stats(self, serial: int) -> dict:
-        """``{"entries", "bytes", "sealed"}`` for one arena."""
+        """``{"entries", "bytes", "sealed", "memo"}`` for one arena
+        (``bytes`` counts the entries only, never the memo)."""
         return {
             "entries": len(self._arena_entries.get(serial, ())),
             "bytes": self._arena_bytes.get(serial, 0),
             "sealed": len(self._sealed.get(serial, ())),
+            "memo": len(self._arena_memo.get(serial, ())),
         }
 
     # ------------------------------------------------------------------
@@ -242,21 +271,28 @@ class ArenaIndex:
                     indexes = slp._indexes = weakref.WeakSet()
                     weakref.finalize(slp, _forget_arena, indexes, serial)
                 indexes.add(self)
-                # sealed set and byte count exist before the entries dict
-                # becomes visible to lock-free readers
+                # sealed set, memo and byte count exist before the entries
+                # dict becomes visible to lock-free readers
                 self._sealed[serial] = set()
+                self._arena_memo[serial] = {}
                 self._arena_bytes[serial] = 0
                 arena = self._arena_entries[serial] = {}
             return arena
 
     def invalidate_from(self, serial: int, mark: int) -> int:
-        """Drop entries and sealed bits for ids ``>= mark`` of one arena.
+        """Drop entries, memo values and sealed bits for ids ``>= mark``
+        of one arena.
 
         Called by :meth:`SLP.truncate` before it discards those ids: later
-        allocations reuse them, and a stale entry or sealed root would
-        answer for the rolled-back document.  Sealed ids below the mark
-        stay sealed — children precede parents in the arena, so a surviving
-        node's subtree survives too.  Returns the number dropped."""
+        allocations reuse them, and a stale entry, memo value or sealed
+        root would answer for the rolled-back document.  Sealed ids below
+        the mark stay sealed — children precede parents in the arena, so a
+        surviving node's subtree survives too.  Returns the number of
+        entries dropped."""
+        memo = self._arena_memo.get(serial)
+        if memo:
+            for key in [key for key in memo if key[0] >= mark]:
+                del memo[key]
         arena = self._arena_entries.get(serial)
         if not arena:
             return 0
@@ -271,5 +307,6 @@ class ArenaIndex:
     def drop(self, serial: int) -> None:
         """Forget one arena entirely (collected or discarded); O(1)."""
         self._sealed.pop(serial, None)
+        self._arena_memo.pop(serial, None)
         if self._arena_entries.pop(serial, None) is not None:
             self.total_bytes -= self._arena_bytes.pop(serial)

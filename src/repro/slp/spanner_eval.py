@@ -35,8 +35,10 @@ transition function, while ``T`` and ``T_em`` are packed
   verbatim), and finishes the wave with the one batched ``(σ, T, T_em)``
   combine, :func:`~repro.kernels.bitmat.combine_rows`, that the text
   fold of :mod:`repro.parallel.fold` uses too;
-* the per-descent pruning products in enumeration become packed row/word
-  operations with **zero dtype conversions on the hot path**.
+* enumeration never touches numpy on a warm path: continuation vectors
+  are Python-int bitsets, the descent's products against ``T`` and
+  ``T_em`` are memoised per (node, continuation) beside the node cache,
+  and every pruning test is an int shift and mask.
 
 Because matrices are memoised per node and CDE editing only creates
 O(|φ| · log d) fresh nodes (sharing the rest), evaluating a spanner on an
@@ -66,7 +68,6 @@ from repro.core.spans import SpanRelation, SpanTuple
 from repro.enumeration.naive import emissions_to_tuple
 from repro.kernels.bitmat import (
     BitMatrix,
-    PackedVec,
     bool_mm,
     bool_mm_many,
     combine_rows,
@@ -181,13 +182,16 @@ class SLPSpannerEvaluator:
         q = det.num_states
         #: char tables are shared per deterministic automaton (bounded LRU)
         self._char_tables_cache = _char_table_store(det)
-        mark_e = self._char_tables_cache.mark_e.to_bool()
-        self._accepting = np.zeros(q, dtype=bool)
-        for state in det.accepting:
-            self._accepting[state] = True
+        #: state sets are int bitsets: bit s stands for state s
+        self._accepting = sum(1 << state for state in set(det.accepting))
         # trailing continuation: accept directly or via one final block
-        self._cont_end = PackedVec(
-            self._accepting | mark_e @ self._accepting
+        self._cont_end = self._accepting | sum(
+            1 << state
+            for state in range(q)
+            if any(
+                self._accepting >> target & 1
+                for target in det.set_trans[state].values()
+            )
         )
         #: the node cache: serial -> node -> (σ, T, T_em), where T_em only
         #: counts runs with at least one marker emission (the enumeration
@@ -345,8 +349,10 @@ class SLPSpannerEvaluator:
         return self.index.total_bytes + self._char_tables_cache.nbytes()
 
     def arena_cache_stats(self, serial: int) -> dict:
-        """``{"entries", "bytes", "sealed"}`` for one arena, in O(1) —
-        what :meth:`repro.db.SpannerDB.stats` reports per spanner."""
+        """``{"entries", "bytes", "sealed", "memo"}`` for one arena, in
+        O(1) — what :meth:`repro.db.SpannerDB.stats` reports per spanner.
+        ``bytes`` counts the (σ, T, T_em) entries; ``memo`` is the number
+        of memoised continuation products of :meth:`enumerate`."""
         return self.index.arena_cache_stats(serial)
 
     # ------------------------------------------------------------------
@@ -363,7 +369,7 @@ class SLPSpannerEvaluator:
         outside the node cache (e.g. the text fold of
         :func:`repro.parallel.text_entry`)."""
         _, T, _ = entry
-        return T.row_and_any(self.det.initial, self._cont_end.words)
+        return bool(matvec(T, self._cont_end) >> self.det.initial & 1)
 
     def enumerate(self, slp: SLP, node: int, budget=None) -> Iterator[SpanTuple]:
         """Enumerate ``⟦M⟧(D(node))`` with delay O(depth · |Q|^2).
@@ -389,11 +395,13 @@ class SLPSpannerEvaluator:
         n = slp.length(node)
         sigma_root, _, _ = self.index.node_entry(slp, node)
 
+        accepting = self._accepting
+
         def trailing(q_out: int, emissions: tuple) -> Iterator[tuple]:
-            if self._accepting[q_out]:
+            if accepting >> q_out & 1:
                 yield emissions
             for block, target in det.set_trans[q_out].items():
-                if self._accepting[target]:
+                if accepting >> target & 1:
                     yield emissions + tuple((n + 1, m) for m in block)
 
         # pure run over the whole document
@@ -470,7 +478,7 @@ class SLPSpannerEvaluator:
         after_block: dict[int, set] = {
             state: {frozenset()}
             for state in range(q)
-            if self._accepting[state]
+            if self._accepting >> state & 1
         }
         full = with_blocks(after_block, n + 1)
         charge(full)
@@ -501,11 +509,11 @@ class SLPSpannerEvaluator:
         node: int,
         state: int,
         offset: int,
-        cont: PackedVec,
+        cont: int,
         budget=None,
     ) -> Iterator[tuple[int, tuple]]:
         """All runs through ``D(node)`` from *state* with ≥ 1 emission whose
-        exit state satisfies *cont*, as (exit state, emissions) pairs.
+        exit state is in *cont*, as (exit state, emissions) pairs.
 
         Pruning invariant: a descent happens only when its subtree is
         guaranteed (via the T_em matrices) to produce at least one output,
@@ -521,19 +529,36 @@ class SLPSpannerEvaluator:
           pair purely through σ_R (no further emissions on the right) and/or
           descend into the right child for the emitting completions.
 
-        The pruning tests are packed row/word intersections and
-        :func:`~repro.kernels.bitmat.matvec` products — no float32
-        conversions anywhere on this path."""
+        Continuation vectors are Python-int bitsets (bit *s* is state *s*).
+        A pair node needs three products: ``T_R·cont`` (the left child's
+        continuation), ``T_em_R·cont`` (the entry states from which R can
+        still emit) and ``T_em_L·cont_left``.  Each comes from the arena's
+        memo (:meth:`ArenaIndex.memo`), which maps ``(node, cont)`` to
+        ``(T·cont, T_em·cont)``; only a miss runs
+        :func:`~repro.kernels.bitmat.matvec`.  Warm reads repeat the same
+        few continuations at every node, so every pruning test is an int
+        shift and mask, with no numpy call."""
         det = self.det
-        #: the per-arena view — the hot descent loop below does one
-        #: plain-int dict lookup per child
+        #: the per-arena views — the hot descent loop below does plain
+        #: dict lookups per child
         data = self.index.entries(slp)
+        memo, limit = self.index.memo(slp)
+
+        def products(child: int, child_cont: int) -> tuple[int, int]:
+            """``(T·cont, T_em·cont)`` of one child — the memo miss path."""
+            _, t, t_em = data[child]
+            value = (matvec(t, child_cont), matvec(t_em, child_cont))
+            if len(memo) >= limit:
+                memo.clear()
+            memo[child, child_cont] = value
+            return value
+
         atoms = det.atoms
         char_trans = det.char_trans
         set_trans = det.set_trans
         is_terminal = slp.is_terminal
         # rights chain record: (σ_R, right node, right offset, cont after the
-        # pair, emitting-continuation bools for the right child, tail)
+        # pair, T_em_R·cont as an int bitset, tail)
         _EXPAND, _RESOLVE = 0, 1
         stack: list[tuple] = [(_EXPAND, node, state, offset, (), cont, None)]
         while stack:
@@ -547,12 +572,12 @@ class SLPSpannerEvaluator:
                 # the emitting right-descent is pushed first so the pure
                 # σ_R exit (pushed second, popped first) keeps the seed's
                 # output order: pure completion before right-child runs
-                if right_em[p]:
+                if right_em >> p & 1:
                     stack.append(
                         (_EXPAND, rnode, p, roff, emissions, rcont, tail)
                     )
-                pure_exit = int(sigma_r[p])
-                if pure_exit != _DEAD and rcont.bools[pure_exit]:
+                pure_exit = sigma_r.item(p)
+                if pure_exit != _DEAD and rcont >> pure_exit & 1:
                     stack.append((_RESOLVE, pure_exit, emissions, tail))
                 continue
             _, cur, cur_state, cur_offset, prefix, cur_cont, rights = task
@@ -566,7 +591,7 @@ class SLPSpannerEvaluator:
                 produced = []
                 for block, mid in set_trans[cur_state].items():
                     target = char_trans[mid].get(atom)
-                    if target is not None and cur_cont.bools[target]:
+                    if target is not None and cur_cont >> target & 1:
                         produced.append(
                             (
                                 _RESOLVE,
@@ -578,15 +603,14 @@ class SLPSpannerEvaluator:
                 stack.extend(reversed(produced))
                 continue
             left, right = slp.children(cur)
-            sigma_l, _, t_em_l = data[left]
-            sigma_r, t_r, t_em_r = data[right]
+            cont_left, right_em = memo.get((right, cur_cont)) or products(
+                right, cur_cont
+            )
             left_length = slp.length(left)
             # the pure-left branch (left consumed without emissions, all
             # emissions in the right child) is pushed first — it comes last
-            pure_mid = int(sigma_l[cur_state])
-            if pure_mid != _DEAD and t_em_r.row_and_any(
-                pure_mid, cur_cont.words
-            ):
+            pure_mid = data[left][0].item(cur_state)
+            if pure_mid != _DEAD and right_em >> pure_mid & 1:
                 stack.append(
                     (
                         _EXPAND,
@@ -598,10 +622,11 @@ class SLPSpannerEvaluator:
                         rights,
                     )
                 )
-            # continuation for the left part: exits p that R can carry to cont
-            cont_left = matvec(t_r, cur_cont)
-            if t_em_l.row_and_any(cur_state, cont_left.words):
-                right_em = matvec(t_em_r, cur_cont).bools
+            # the left part may exit in any state R can carry to cont
+            if not cont_left:
+                continue
+            _, left_em = memo.get((left, cont_left)) or products(left, cont_left)
+            if left_em >> cur_state & 1:
                 stack.append(
                     (
                         _EXPAND,
@@ -611,7 +636,7 @@ class SLPSpannerEvaluator:
                         prefix,
                         cont_left,
                         (
-                            sigma_r,
+                            data[right][0],
                             right,
                             cur_offset + left_length,
                             cur_cont,

@@ -181,6 +181,32 @@ class TestUnsealing:
         cold = SLPSpannerEvaluator(spanner_from_regex(PATTERN))
         assert evaluator.evaluate(slp, second) == cold.evaluate(slp, second)
 
+    @pytest.mark.parametrize("pattern", FUZZ_PATTERNS[:2])
+    def test_rollback_drops_continuation_memo_of_reused_ids(self, pattern):
+        """Enumeration memoises continuation products per (node, cont);
+        a value memoised for a staged node must not answer for the node
+        that reuses its id after rollback.  Only some reuses alias a
+        continuation the new node also meets, so the loop runs many small
+        seeded trials."""
+        evaluator = SLPSpannerEvaluator(spanner_from_regex(pattern))
+        rng = random.Random(23)
+        for _ in range(150):
+            slp = SLP()
+            base = "".join(rng.choices("ab", k=rng.randint(4, 16)))
+            node = balanced_node(slp, base)
+            list(evaluator.enumerate(slp, node))
+            mark = slp.mark()
+            staged = "".join(rng.choices("ab", k=rng.randint(1, 8)))
+            list(evaluator.enumerate(slp, slp.append_text(node, staged)))
+            slp.truncate(mark)
+            text = staged
+            while text == staged:
+                text = "".join(rng.choices("ab", k=rng.randint(1, 8)))
+            reused = slp.append_text(node, text)
+            assert evaluator.evaluate(slp, reused) == evaluator.evaluate_text(
+                base + text
+            ), f"stale memo answered for {base!r} + {text!r}"
+
     def test_purge_arena_drops_sealed_roots(self):
         evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERN))
         slp = SLP()
@@ -196,6 +222,7 @@ class TestUnsealing:
             "entries": 0,
             "bytes": 0,
             "sealed": 0,
+            "memo": 0,
         }
 
 
@@ -523,6 +550,8 @@ class SharedArenaMachine(RuleBasedStateMachine):
         slp.truncate(mark)
         for consumer in (self.evaluator, self.membership, self.matcher):
             assert all(n < mark for n in consumer.index.cached_node_ids(slp))
+            memo, _ = consumer.index.memo(slp)
+            assert all(key[0] < mark for key in memo), "stale memo key"
 
     @rule()
     def drop_arena(self):
@@ -537,6 +566,7 @@ class SharedArenaMachine(RuleBasedStateMachine):
                 "entries": 0,
                 "bytes": 0,
                 "sealed": 0,
+                "memo": 0,
             }
 
     @invariant()

@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.kernels import (
     BitMatrix,
-    PackedVec,
     PlanCache,
     bool_mm,
     bool_mm_many,
@@ -91,7 +90,7 @@ class TestPacking:
 
     def test_padding_bits_are_zero(self):
         # q=65 leaves 63 pad bits in the second word; they must stay zero
-        # or fingerprints and row_and_any would see ghost states
+        # or fingerprints and matvec would see ghost states
         bools = np.ones((2, 65), dtype=bool)
         packed = pack_rows(bools)
         assert packed[0, 1] == np.uint64(1)
@@ -211,9 +210,12 @@ class TestRowKernels:
         rng = np.random.default_rng(q)
         a = _random_bool(rng, q, q)
         v = _random_bool(rng, q)
-        got = matvec(BitMatrix.from_bool(a), PackedVec(v))
-        assert np.array_equal(got.bools, (a & v).any(axis=1))
-        assert got.any() == bool((a @ v).any())
+        cont = sum(1 << int(s) for s in np.nonzero(v)[0])
+        got = matvec(BitMatrix.from_bool(a), cont)
+        assert isinstance(got, int)
+        dense = (a & v).any(axis=1)
+        assert [bool(got >> s & 1) for s in range(q)] == dense.tolist()
+        assert got >> q == 0, "bits past the last row must stay clear"
 
     @pytest.mark.parametrize("q", [5, 64, 100])
     def test_combine_sigma_pull_matches_reference(self, q):
@@ -247,15 +249,12 @@ class TestRowKernels:
         for k in range(4):
             assert np.array_equal(batched[k], function_bits(sigmas[k], q).rows)
 
-    def test_row_and_any(self):
+    def test_matvec_reads_bits_past_the_first_word(self):
         a = np.zeros((2, 70), dtype=bool)
         a[0, 69] = True
         m = BitMatrix.from_bool(a)
-        v = np.zeros(70, dtype=bool)
-        v[69] = True
-        words = pack_vec(v)
-        assert m.row_and_any(0, words)
-        assert not m.row_and_any(1, words)
+        assert matvec(m, 1 << 69) == 0b01
+        assert matvec(m, (1 << 69) - 1) == 0
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,10 @@ Its safety argument (see ``docs/RELIABILITY.md``, "Serving runbook") rests
 on a small set of owners being the only code that touches the shared
 mutable state of the evaluation pipeline:
 
-* the per-arena node caches (``_arena_entries``) are owned by
-  ``slp/arena_index.py``; the pattern matcher's ``_node_data`` and the
-  evaluator's ``_char_tables_cache`` by their own modules;
+* the per-arena node caches and continuation memos (``_arena_entries``,
+  ``_arena_memo``) are owned by ``slp/arena_index.py``; the pattern
+  matcher's ``_node_data`` and the evaluator's ``_char_tables_cache`` by
+  their own modules;
 * arena truncation (``.truncate(``) is owned by ``slp/slp.py`` (the
   definition) and ``db.py`` (rollback);
 * cache invalidation (``invalidate_from``) is owned by
@@ -48,6 +49,9 @@ GUARDED = {
         "src/repro/slp/pattern.py",  # per-instance matcher cache, not served
     },
     re.compile(r"\b_arena_entries\b"): {
+        "src/repro/slp/arena_index.py",
+    },
+    re.compile(r"\b_arena_memo\b"): {
         "src/repro/slp/arena_index.py",
     },
     re.compile(r"\b_char_tables_cache\b"): {
