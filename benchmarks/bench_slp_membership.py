@@ -7,6 +7,7 @@ O(|D|·|Q|²) on the decompressed document; on compressible documents
 and handles documents that cannot even be materialised.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -140,8 +141,11 @@ def test_c2_packed_kernel_speedup(bench, memory):
     ``memory`` is the suffix window of the NFA ``(a|b)*a(a|b){memory}``
     (|Q| = 68 / 108 / 158 after ε-removal — all ≥ 64, the regime the
     packed kernels target).  Both sides run the same preprocessing on the
-    same record corpus; ``reference_seconds`` / ``packed_seconds`` are the
-    before/after of this PR and ``speedup`` their ratio."""
+    same record corpus.  The two run in alternating back-to-back pairs, so
+    load drift on a shared host hits both halves of a pair alike:
+    ``speedup`` is the median of the per-pair ratios, ``reference_seconds``
+    and ``packed_seconds`` the medians of each side, and the row's
+    ``seconds`` is the median packed pass."""
     nfa = compile_nfa(f"(a|b)*a(a|b){{{memory}}}").remove_epsilon()
     q = nfa.num_states
     assert q >= 64
@@ -157,35 +161,35 @@ def test_c2_packed_kernel_speedup(bench, memory):
         result = fn()
         return time.perf_counter() - start, result
 
-    def compare():
-        ref_seconds, ref_matrix = min(
-            (
-                timed(lambda: _reference_node_matrix(nfa, slp, node, char_mats))
-                for _ in range(3)
-            ),
-            key=lambda pair: pair[0],
+    def compare(pairs: int = 9):
+        ref_times, packed_times, ratios = [], [], []
+        for _ in range(pairs):
+            ref_seconds, ref_matrix = timed(
+                lambda: _reference_node_matrix(nfa, slp, node, char_mats)
+            )
+            packed_seconds, packed = timed(
+                lambda: CompressedMembership(nfa).node_bitmatrix(slp, node)
+            )
+            assert np.array_equal(unpack_rows(packed.rows, q), ref_matrix)
+            ref_times.append(ref_seconds)
+            packed_times.append(packed_seconds)
+            ratios.append(ref_seconds / packed_seconds)
+        return (
+            statistics.median(ref_times),
+            statistics.median(packed_times),
+            statistics.median(ratios),
         )
-        packed_seconds, packed = min(
-            (
-                timed(
-                    lambda: CompressedMembership(nfa).node_bitmatrix(slp, node)
-                )
-                for _ in range(3)
-            ),
-            key=lambda pair: pair[0],
-        )
-        assert np.array_equal(unpack_rows(packed.rows, q), ref_matrix)
-        return ref_seconds, packed_seconds
 
-    ref_seconds, packed_seconds = bench(compare, rounds=1)
+    ref_seconds, packed_seconds, speedup = bench(compare, rounds=1)
     bench.benchmark.extra_info["doc_length"] = len(text)
     bench.record(
+        seconds=packed_seconds,
         states=q,
         reference_seconds=ref_seconds,
         packed_seconds=packed_seconds,
-        speedup=ref_seconds / packed_seconds,
+        speedup=speedup,
     )
-    assert ref_seconds / packed_seconds >= 3.0
+    assert speedup >= 3.0
 
 
 def test_c2_beyond_materialisation(bench):

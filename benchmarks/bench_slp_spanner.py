@@ -140,8 +140,11 @@ def test_c3_packed_kernel_speedup(bench, pattern):
 
     Same record corpus, same (σ, T, T_em) semantics; the reference pays
     two float32 products per fresh pair node while the packed path pays
-    one batched product per *distinct* operand pair.  The before/after of
-    this PR is recorded as ``reference_seconds`` / ``packed_seconds``."""
+    one batched product per *distinct* operand pair.  The two run in
+    alternating back-to-back pairs: ``speedup`` is the median of the
+    per-pair ratios, ``reference_seconds`` and ``packed_seconds`` the
+    medians of each side, and the row's ``seconds`` is the median packed
+    pass (one whole compare round mixes both sides and spreads widely)."""
     det = SLPSpannerEvaluator(spanner_from_regex(pattern)).det
     q = det.num_states
     assert q >= 64
@@ -159,31 +162,37 @@ def test_c3_packed_kernel_speedup(bench, pattern):
         evaluator.preprocess(slp, node)
         return evaluator
 
-    def compare():
-        ref_seconds, ref_memo = min(
-            (timed(lambda: _reference_preprocess(det, slp, node)) for _ in range(2)),
-            key=lambda pair: pair[0],
+    def compare(pairs: int = 5):
+        ref_times, packed_times, ratios = [], [], []
+        for _ in range(pairs):
+            ref_seconds, ref_memo = timed(
+                lambda: _reference_preprocess(det, slp, node)
+            )
+            packed_seconds, evaluator = timed(packed_pass)
+            sigma, t, t_em = evaluator.node_entry(slp, node)
+            ref_sigma, ref_t, ref_em = ref_memo[node]
+            assert np.array_equal(sigma, ref_sigma)
+            assert np.array_equal(unpack_rows(t.rows, q), ref_t)
+            assert np.array_equal(unpack_rows(t_em.rows, q), ref_em)
+            ref_times.append(ref_seconds)
+            packed_times.append(packed_seconds)
+            ratios.append(ref_seconds / packed_seconds)
+        return (
+            statistics.median(ref_times),
+            statistics.median(packed_times),
+            statistics.median(ratios),
         )
-        packed_seconds, evaluator = min(
-            (timed(packed_pass) for _ in range(2)),
-            key=lambda pair: pair[0],
-        )
-        sigma, t, t_em = evaluator.node_entry(slp, node)
-        ref_sigma, ref_t, ref_em = ref_memo[node]
-        assert np.array_equal(sigma, ref_sigma)
-        assert np.array_equal(unpack_rows(t.rows, q), ref_t)
-        assert np.array_equal(unpack_rows(t_em.rows, q), ref_em)
-        return ref_seconds, packed_seconds
 
-    ref_seconds, packed_seconds = bench(compare, rounds=1)
+    ref_seconds, packed_seconds, speedup = bench(compare, rounds=1)
     bench.benchmark.extra_info["doc_length"] = len(text)
     bench.record(
+        seconds=packed_seconds,
         states=q,
         reference_seconds=ref_seconds,
         packed_seconds=packed_seconds,
-        speedup=ref_seconds / packed_seconds,
+        speedup=speedup,
     )
-    assert ref_seconds / packed_seconds >= 3.0
+    assert speedup >= 3.0
 
 
 def test_c3_delay_logarithmic(bench):

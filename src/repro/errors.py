@@ -220,9 +220,10 @@ class OverloadedError(ServeError):
 class StreamError(SpanlibError, RuntimeError):
     """Base class of failures raised by the :mod:`repro.stream` layer.
 
-    Raised directly when the incremental-append differential guard trips:
-    the associative ``(σ, T, T_em)`` fold over the raw feed disagreed —
-    bit for bit — with the entry computed over the appended SLP, so the
+    Raised directly when the stream guard trips: on an append, the σ of a
+    DFA run over the raw feed (or the document length) disagreed with the
+    appended SLP's root; on a rebuild, the associative ``(σ, T, T_em)``
+    fold of the document disagreed bit for bit with the root entry.  The
     compressed state can no longer be trusted and must be rebuilt.
     """
 

@@ -4,9 +4,9 @@ The ``(σ, T, T_em)`` algebra that powers compressed spanner evaluation
 (Schmid & Schweikardt [39]) is associative, so a plain-text document's
 entry is a fold of its per-character entries.  This package holds the
 exact, batched fold kernel (:mod:`repro.parallel.fold`), which advances
-a whole reduction level per numpy call; the stream's differential guard
-(:mod:`repro.stream.windowed`) folds the raw feed with it and compares
-the result bit for bit with the SLP root entry.
+a whole reduction level per numpy call; the stream guard on
+:meth:`repro.stream.WindowedSpannerStream.rebuild` folds the document
+with it and compares the result bit for bit with the SLP root entry.
 
 Every entry is bit-for-bit equal across chunk splits; the differential
 test suite asserts this against the SLP ``preprocess`` path rather than

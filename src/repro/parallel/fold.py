@@ -18,8 +18,8 @@ boolean/integer computation (the float32 products are exact for 0/1
 operands with |Q| < 2²⁴), so the combine is associative *bit-for-bit*:
 any parenthesisation — the SLP's parse tree, this module's balanced
 pairwise reduction, or its chunk split — packs to identical words.  That
-is what lets the stream guard (:mod:`repro.stream.windowed`) compare an
-SLP root entry against a fold of the raw feed, with equality to the SLP
+is what lets the stream guard on a rebuild (:mod:`repro.stream.windowed`)
+compare an SLP root entry against a fold of the raw feed, with equality to the SLP
 result asserted (not hoped for) by the differential test suite.
 
 Unlike ``preprocess`` — whose per-node Python loop is the right shape for
@@ -164,7 +164,7 @@ def fold_entries(entries, q: int, budget=None):
 
 
 def combine(left, right, q: int):
-    """The binary combine (exposed for tests and incremental callers)."""
+    """The binary combine (exposed for the associativity tests)."""
     return fold_entries([left, right], q)
 
 

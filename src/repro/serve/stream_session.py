@@ -16,7 +16,7 @@ concurrently:
   :class:`~repro.errors.WindowOverrunError` *marker* instead of stalling
   the feed (partial state is resumable; the next complete window
   reconciles the frontier);
-* **circuit-broken rebuild fallback** — fault or differential-guard
+* **circuit-broken rebuild fallback** — fault or guard
   failures on the incremental-append path count against an internal
   :class:`~repro.util.breaker.CircuitBreaker` (settled through its
   ``guard``); once it opens, windows go

@@ -171,6 +171,8 @@ class ArenaIndex:
         consumes); *skipped* counts the sealed nodes the walk stopped at."""
         walked, skipped = slp.frontier(root, self._sealed.get(slp.serial, ()))
         cached = self._arena_entries.get(slp.serial, {})
+        # frontier() checked the root; walked ids come from the arena
+        char_of, left_of, right_of, _ = slp.columns()
         fresh: dict = {}
         level: dict[int, int] = {}
         waves: list[list[tuple[int, int, int]]] = []
@@ -179,10 +181,11 @@ class ArenaIndex:
                 continue
             if budget is not None:
                 budget.step()
-            if slp.is_terminal(current):
-                fresh[current] = leaf(slp.char(current))
+            ch = char_of[current]
+            if ch is not None:
+                fresh[current] = leaf(ch)
                 continue
-            left, right = slp.children(current)
+            left, right = left_of[current], right_of[current]
             depth = max(level.get(left, 0), level.get(right, 0)) + 1
             level[current] = depth
             if depth > len(waves):
@@ -230,16 +233,13 @@ class ArenaIndex:
         if arena is None:
             return
         sealed = self._sealed[slp.serial]
-        is_terminal = slp.is_terminal
-        children = slp.children
+        char_of, left_of, right_of, _ = slp.columns()
         for current in walked:
             if current not in arena:
                 continue
-            if is_terminal(current):
+            if char_of[current] is not None:
                 sealed.add(current)
-                continue
-            left, right = children(current)
-            if left in sealed and right in sealed:
+            elif left_of[current] in sealed and right_of[current] in sealed:
                 sealed.add(current)
 
     def seal_subtree(self, slp: SLP, node: int) -> bool:

@@ -221,6 +221,16 @@ class SLP:
         self._check(node)
         return self._length[node]
 
+    def columns(self) -> tuple[list, list, list, list]:
+        """The per-node ``(char, left, right, length)`` lists, for hot loops.
+
+        ``char[n]`` is ``None`` for a pair node; ``left[n]``/``right[n]``
+        are its children.  Indexing them skips the id check every
+        accessor above runs, so use only ids the arena handed out (a root
+        checked once through an accessor, and what it reaches).  The lists
+        are the arena's own: read them, never write them."""
+        return self._char, self._left, self._right, self._length
+
     def order(self, node: int) -> int:
         """The paper's ``ord``: longest path to a leaf, plus one (O(1))."""
         self._check(node)

@@ -556,7 +556,8 @@ class SLPSpannerEvaluator:
         atoms = det.atoms
         char_trans = det.char_trans
         set_trans = det.set_trans
-        is_terminal = slp.is_terminal
+        # the caller checked the root id; every id below comes from the arena
+        char_of, left_of, right_of, length_of = slp.columns()
         # rights chain record: (σ_R, right node, right offset, cont after the
         # pair, T_em_R·cont as an int bitset, tail)
         _EXPAND, _RESOLVE = 0, 1
@@ -583,8 +584,8 @@ class SLPSpannerEvaluator:
             _, cur, cur_state, cur_offset, prefix, cur_cont, rights = task
             if budget is not None:
                 budget.step()
-            if is_terminal(cur):
-                ch = slp.char(cur)
+            ch = char_of[cur]
+            if ch is not None:
                 atom = atoms.classify(ch)
                 if atom is None:
                     continue
@@ -602,11 +603,11 @@ class SLPSpannerEvaluator:
                         )
                 stack.extend(reversed(produced))
                 continue
-            left, right = slp.children(cur)
+            left, right = left_of[cur], right_of[cur]
             cont_left, right_em = memo.get((right, cur_cont)) or products(
                 right, cur_cont
             )
-            left_length = slp.length(left)
+            left_length = length_of[left]
             # the pure-left branch (left consumed without emissions, all
             # emissions in the right child) is pushed first — it comes last
             pure_mid = data[left][0].item(cur_state)

@@ -6,9 +6,9 @@ one appended chunk (a "window") at a time:
 
 * :class:`WindowedSpannerStream` — the deterministic core.  Each window
   appends its chunk onto the document's strongly balanced SLP via
-  :meth:`repro.slp.slp.SLP.append_text` (O(log n) fresh nodes), verifies
-  the compressed state against an independently maintained raw-feed fold
-  (the differential guard), and emits the result **delta**: tuples newly
+  :meth:`repro.slp.slp.SLP.append_text` (O(log n) fresh nodes), checks
+  the root's σ and length against a DFA run over the raw feed (the
+  guard), and emits the result **delta**: tuples newly
   added and tuples retracted (spanner results are not monotone under
   append).  Per-window :class:`repro.util.Budget` governance bounds
   wall-clock, steps and frontier memory with typed errors.

@@ -10,14 +10,17 @@ correctness guarantee bit-for-bit:
   spine of the document's strongly balanced SLP, so a window allocates
   only ``O(|chunk| + log n)`` fresh nodes and the evaluator's
   ``(σ, T, T_em)`` cache entries for the untouched prefix survive.
-* A **differential guard** maintains the whole-document entry a second
-  way — the associative fold of :mod:`repro.parallel.fold` over the raw
-  feed characters — and compares it bit-for-bit against the entry
-  computed over the appended SLP, on every ingest and every rebuild.
-  Exact associativity of the entry algebra makes any mismatch a hard
-  evidence of corruption (:class:`~repro.errors.StreamError`), at which
-  point the caller (see :class:`repro.serve.StreamSession`) falls back
-  to :meth:`WindowedSpannerStream.rebuild`.
+* A **guard** checks the appended SLP against the raw feed on every
+  ingest and every rebuild, and any mismatch is hard evidence of
+  corruption (:class:`~repro.errors.StreamError`), at which point the
+  caller (see :class:`repro.serve.StreamSession`) falls back to
+  :meth:`WindowedSpannerStream.rebuild`.  On ingest it costs
+  ``O(|chunk|)`` pure-Python DFA steps: the stream keeps the pure
+  transition function σ of the checked prefix, runs the DFA over the
+  chunk from the live states of that σ's image, and compares the
+  composed σ and the document length with the root's.  A rebuild
+  compares the whole ``(σ, T, T_em)`` root entry bit for bit with the
+  associative fold of :mod:`repro.parallel.fold` over the document.
 * Windows emit **deltas**.  Spanner results are not monotone under
   append (a span ending at the old boundary ``n+1`` can stop matching on
   the extended document), so each window reports ``added`` — results
@@ -54,7 +57,8 @@ from repro.errors import (
     WindowOverrunError,
 )
 from repro.kernels.plan import evaluator_for
-from repro.parallel.fold import combine, identity_entry, text_entry
+# combine is unused here but stays importable: perfbench's tracer patches it by name
+from repro.parallel.fold import combine, text_entry  # noqa: F401
 from repro.slp.balance import rebalance
 from repro.slp.build import repair_node
 from repro.slp.slp import SLP
@@ -78,6 +82,9 @@ def span_tuple_bytes(tup: SpanTuple) -> int:
     ``frontier_max_bytes`` bound in tests and runbooks is reproducible.
     """
     return 64 + 48 * len(tup)
+
+
+_DEAD = -1
 
 
 def _entries_equal(left, right) -> bool:
@@ -176,10 +183,10 @@ class WindowedSpannerStream:
         #: the first window establishes via the decompressed path
         self._frontier_complete = False
         self._text_len = 0
-        #: guard state: the raw-feed fold covers all but the last
-        #: len(_pending_tail) chars, which are ingested but not yet folded
-        #: (non-empty only after a budget overrun mid-ingest)
-        self._prefix_entry = identity_entry(self._q)
+        #: guard state: σ of all but the last len(_pending_tail) chars of
+        #: the feed (a tuple, _DEAD for no run); the tail is ingested but
+        #: not yet checked (non-empty only after a budget overrun mid-ingest)
+        self._prefix_sigma = tuple(range(self._q))
         self._pending_tail = ""
         self._windows = 0
         self._rebuilds = 0
@@ -223,8 +230,8 @@ class WindowedSpannerStream:
         * a **budget overrun** (:class:`~repro.errors.DeadlineExceededError`
           or :class:`~repro.errors.EvaluationLimitError`) propagates but
           the chunk *is* part of the document — preprocessing and the
-          guard fold are resumable: the next ingest folds the chunk
-          with its own and checks the guard again;
+          guard are resumable: the next ingest runs the DFA over the
+          chunk with its own and checks the guard again;
         * **any other failure** (injected fault, guard trip) rolls the
           arena and all bookkeeping back to the pre-call state, so the
           chunk is *not* ingested and the caller may retry or
@@ -237,19 +244,26 @@ class WindowedSpannerStream:
             self.node,
             self._text_len,
             self._pending_tail,
-            self._prefix_entry,
+            self._prefix_sigma,
             self._frontier_complete,
         )
         try:
             self.node = self.slp.append_text(self.node, chunk)
             self._text_len += len(chunk)
             # queued before preprocess, so an overrun there leaves the
-            # chunk for the next ingest to fold instead of losing it
+            # chunk for the next ingest to check instead of losing it
             self._pending_tail += chunk
             self._frontier_complete = False
             fresh = self._evaluator.preprocess(self.slp, self.node, budget)
-            self._fold_pending(budget)
-            self._check_guard(self.slp, self.node, self._prefix_entry, "ingest")
+            self._run_pending(budget)
+            root = self._evaluator.node_entry(self.slp, self.node)
+            self._check_guard(
+                root is not None
+                and self.slp.length(self.node) == self._text_len
+                and tuple(root[0].tolist()) == self._prefix_sigma,
+                "ingest: the SLP root's σ or length disagrees with a DFA "
+                "run over the raw feed",
+            )
             return fresh
         except EvaluationLimitError:
             # deadline/step overrun: keep the (resumable) partial state
@@ -263,31 +277,46 @@ class WindowedSpannerStream:
                 self.node,
                 self._text_len,
                 self._pending_tail,
-                self._prefix_entry,
+                self._prefix_sigma,
                 self._frontier_complete,
             ) = saved
             raise
 
-    def _fold_pending(self, budget: Budget | None) -> None:
-        """Fold ingested-but-unfolded chars into the raw-feed entry."""
+    def _run_pending(self, budget: Budget | None) -> None:
+        """Extend the prefix σ over the ingested-but-unchecked chars.
+
+        σ(prefix · tail) = σ_tail ∘ σ_prefix, so the DFA runs over the
+        tail once per distinct live state in the image of the prefix σ
+        (a handful, however large |Q| is), and the budget is charged one
+        step per character."""
         tail = self._pending_tail
-        entry = text_entry(
-            self._evaluator.char_entries(tail), tail, self._q, budget=budget
-        )
-        self._prefix_entry = combine(self._prefix_entry, entry, self._q)
+        if budget is not None:
+            budget.step(len(tail))
+        det = self._evaluator.det
+        classify = det.atoms.classify
+        atoms = [classify(ch) for ch in tail]
+        char_trans = det.char_trans
+        ends = {_DEAD: _DEAD}  # no run stays no run
+        for start in set(self._prefix_sigma) - ends.keys():
+            state = start
+            for atom in atoms:
+                state = char_trans[state].get(atom)
+                if state is None:
+                    state = _DEAD
+                    break
+            ends[start] = state
+        self._prefix_sigma = tuple(ends[state] for state in self._prefix_sigma)
         self._pending_tail = ""
 
-    def _check_guard(self, slp: SLP, node: int, folded, path: str) -> None:
-        """Compare *node*'s SLP entry against the raw-feed fold *folded*,
-        bit for bit; a mismatch counts a guard trip and raises typed."""
-        if _entries_equal(self._evaluator.node_entry(slp, node), folded):
+    def _check_guard(self, agrees: bool, what: str) -> None:
+        """Unless *agrees*, count a guard trip and raise typed."""
+        if agrees:
             return
         self._guard_trips += 1
         if obs.enabled():
             obs.metrics().counter("stream.guard_trips").inc()
         raise StreamError(
-            f"differential guard tripped on {path}: the SLP entry disagrees "
-            "with the raw-feed fold — compressed state is corrupt"
+            f"stream guard tripped on {what} — compressed state is corrupt"
         )
 
     # ------------------------------------------------------------------
@@ -299,7 +328,8 @@ class WindowedSpannerStream:
         The degraded path behind the session's circuit breaker: derives
         the current document (bounded by ``rebuild_max_chars``),
         recompresses it with Re-Pair into a **fresh arena**, recomputes
-        the evaluator entries and the guard fold, and only then commits —
+        the evaluator entries, checks the root entry bit for bit against
+        the plain-text fold of the document, and only then commits —
         a failure mid-rebuild leaves the previous state untouched and the
         chunk un-ingested.  O(n), unlike :meth:`ingest`'s O(log n).
         """
@@ -322,13 +352,17 @@ class WindowedSpannerStream:
         try:
             node = rebalance(fresh_slp, repair_node(fresh_slp, full)) if full else None
             fresh = 0
-            prefix = identity_entry(self._q)
+            sigma = tuple(range(self._q))
             if node is not None:
                 fresh = self._evaluator.preprocess(fresh_slp, node, budget)
-                prefix = text_entry(
+                folded = text_entry(
                     self._evaluator.char_entries(full), full, self._q, budget=budget
                 )
-                self._check_guard(fresh_slp, node, prefix, "rebuild")
+                self._check_guard(
+                    _entries_equal(self._evaluator.node_entry(fresh_slp, node), folded),
+                    "rebuild: the SLP root entry disagrees with the raw-feed fold",
+                )
+                sigma = tuple(folded[0].tolist())
         except BaseException:
             # previous state untouched; drop the half-built arena's
             # entries eagerly instead of waiting for its finalizer
@@ -338,7 +372,7 @@ class WindowedSpannerStream:
         self.slp = fresh_slp
         self.node = node
         self._text_len = len(full)
-        self._prefix_entry = prefix
+        self._prefix_sigma = sigma
         self._pending_tail = ""
         if chunk:
             self._frontier_complete = False
@@ -416,7 +450,7 @@ class WindowedSpannerStream:
         The single-threaded surface (no backpressure, no fault retries —
         see :class:`repro.serve.StreamSession` for those).  Budget
         overruns become an ``overrun`` window carrying a typed
-        :class:`~repro.errors.WindowOverrunError`; a differential-guard
+        :class:`~repro.errors.WindowOverrunError`; a guard
         trip (:class:`~repro.errors.StreamError`) and a frontier-bound
         violation (:class:`~repro.errors.MemoryLimitError`) propagate.
         """

@@ -338,7 +338,9 @@ class TestCombine:
             for start, end in zip(bounds, bounds[1:]):
                 stream.ingest(text[start:end])
         assert stream.stats()["guard_trips"] == 0
-        _assert_entries_equal(stream._prefix_entry, root)
+        assert stream._prefix_sigma == tuple(root[0].tolist())
+        streamed = stream._evaluator.node_entry(stream.slp, stream.node)
+        _assert_entries_equal(streamed, root)
 
 
 # ----------------------------------------------------------------------

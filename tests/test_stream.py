@@ -20,6 +20,7 @@ every other deep fuzz suite in this repo.
 import random
 import time
 
+import numpy as np
 import pytest
 
 from repro import RegularSpanner, obs
@@ -212,11 +213,11 @@ class TestWindowedStream:
     def test_guard_trip_is_typed_and_rolls_back(self):
         stream = WindowedSpannerStream(PATTERN)
         stream.append("ab")
-        # corrupt the raw-feed fold: the next ingest must detect the
-        # bit-level disagreement, raise typed, and roll the chunk back
-        sigma = stream._prefix_entry[0].copy()
+        # corrupt the checked prefix σ: the next ingest must detect the
+        # disagreement with the SLP root, raise typed, and roll the chunk back
+        sigma = list(stream._prefix_sigma)
         sigma[0] ^= 1
-        stream._prefix_entry = (sigma,) + stream._prefix_entry[1:]
+        stream._prefix_sigma = tuple(sigma)
         with pytest.raises(StreamError):
             stream.ingest("b")
         assert stream.document_chars == 2  # rolled back
@@ -227,7 +228,7 @@ class TestWindowedStream:
         assert {str(t) for t in stream.results()} == one_shot(PATTERN, "abb")
 
     def test_guard_resumes_after_a_budget_overrun_in_preprocess(self):
-        """A chunk whose preprocess overran its budget is folded by the
+        """A chunk whose preprocess overran its budget is checked by the
         next ingest, so the guard keeps checking the whole document."""
         stream = WindowedSpannerStream(PATTERN)
         stream.ingest("abab" * 4)
@@ -236,12 +237,57 @@ class TestWindowedStream:
         stream.ingest("ba")
         assert stream.document_chars == 118
         root = stream._evaluator.node_entry(stream.slp, stream.node)
-        assert _entries_equal(stream._prefix_entry, root)
-        # forget the folded prefix: the guard must notice on the next ingest
-        stream._prefix_entry = identity_entry(stream._q)
+        assert stream._prefix_sigma == tuple(root[0].tolist())
+        # forget the checked prefix: the guard must notice on the next ingest
+        stream._prefix_sigma = tuple(range(stream._q))
         with pytest.raises(StreamError):
             stream.ingest("b")
         assert stream.stats()["guard_trips"] == 1
+
+    # "abba" + "bb" has the same σ as "abba" + "bbb": only the length
+    # check can see that dropped character
+    @pytest.mark.parametrize(
+        "mutant, chunk", [("sigma", "baab"), ("dropped_char", "bbb")]
+    )
+    def test_window_check_catches_corrupt_sigma_and_dropped_char(
+        self, monkeypatch, mutant, chunk
+    ):
+        """The σ-only window check trips, typed, on a fresh node whose σ is
+        corrupt and on an append that loses the chunk's last character;
+        the chunk is rolled back and the trip counted."""
+        # a private evaluator (not the shared plan cache's), since the
+        # sigma mutant patches it
+        stream = WindowedSpannerStream(spanner_from_regex(PATTERN))
+        stream.append("abba")
+        if mutant == "sigma":
+            evaluator = stream._evaluator
+            combine_wave = evaluator._combine_wave
+
+            def corrupt_first_entry(operands, intern, entry_pool):
+                # the first fresh pair node of the pass: its first live
+                # state loses its pure run
+                entries = combine_wave(operands, intern, entry_pool)
+                sigma = entries[0][0].copy()
+                sigma[np.flatnonzero(sigma != -1)[0]] = -1
+                return [(sigma,) + entries[0][1:]] + entries[1:]
+
+            monkeypatch.setattr(evaluator, "_combine_wave", corrupt_first_entry)
+        else:
+            append_text = SLP.append_text
+            monkeypatch.setattr(
+                SLP,
+                "append_text",
+                lambda slp, node, text: append_text(slp, node, text[:-1]),
+            )
+        nodes, node = stream.slp.num_nodes(), stream.node
+        with pytest.raises(StreamError):
+            stream.ingest(chunk)
+        assert stream.stats()["guard_trips"] == 1
+        assert stream.document_chars == 4
+        assert (stream.slp.num_nodes(), stream.node) == (nodes, node)
+        monkeypatch.undo()
+        stream.append(chunk)
+        assert {str(t) for t in stream.results()} == one_shot(PATTERN, "abba" + chunk)
 
     def test_rebuild_guard_trip_reaches_the_metric(self, monkeypatch):
         """A guard trip on the rebuild path counts in the stat and in the
