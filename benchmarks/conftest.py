@@ -32,11 +32,16 @@ from __future__ import annotations
 import json
 import math
 import pathlib
+import sys
 from collections import defaultdict
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
+
+# lanes that time a builder against its test-only oracle import it from
+# the ``tests`` package, which a bare ``pytest benchmarks/`` cannot see
+sys.path.insert(0, str(RESULTS_DIR.parent.parent))
 
 _rows_by_module: dict[str, list[dict]] = defaultdict(list)
 

@@ -266,8 +266,9 @@ class SpannerDB:
         return self._db.slp
 
     def add_document(self, name: str, text: str, budget=None) -> None:
-        """Ingest plain text: compress (Re-Pair), rebalance, store, and
-        preprocess it for every registered spanner.
+        """Ingest plain text: compress (incremental Re-Pair, O(|D| log |D|)
+        for |D| characters), rebalance, store, and preprocess it for every
+        registered spanner.
 
         Atomic: if any step fails — including a preprocess failure for one
         of several registered spanners — the staged SLP nodes, the document

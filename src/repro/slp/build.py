@@ -6,9 +6,12 @@ algorithms are approximate.  Provided here:
 
 * :func:`balanced_node` — the trivial strongly balanced parse (no
   compression beyond hash-consing; size O(|D|)).  The baseline.
-* :func:`repair_node` — Re-Pair-style global pair replacement: repeatedly
+* :func:`repair_node` — Re-Pair global pair replacement: repeatedly
   replace the most frequent adjacent digram by a fresh nonterminal.  On
-  repetitive inputs this reaches size O(log |D|)-ish.
+  repetitive inputs this reaches size O(log |D|)-ish.  Built incrementally
+  (Larsson–Moffat: linked symbol arrays, per-digram occurrence lists and a
+  lazy priority queue), so it costs O(|D| log |D|), not a rescan of the
+  document per replaced digram.
 * :func:`lz78_node` — the LZ78 parse folded into an SLP (each phrase is
   "previous phrase + one character", which *is* an SLP production).
 * :func:`repeat_node` / :func:`power_node` — exact exponential compression
@@ -23,7 +26,9 @@ suite checks this property with hypothesis.
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+from collections import defaultdict
+from itertools import islice
 
 from repro.errors import SLPError
 from repro.slp.balance import concat_balanced
@@ -54,50 +59,202 @@ def balanced_node(slp: SLP, text: str) -> int:
 
 
 def repair_node(slp: SLP, text: str) -> int:
-    """Re-Pair-style compression of *text* into an SLP node.
+    """Re-Pair compression of *text* into an SLP node, in O(|D| log |D|).
 
-    Repeatedly replaces the most frequent adjacent node pair (counted over
-    non-overlapping, left-to-right occurrences) with a fresh pair node until
-    no digram occurs twice; the remaining sequence is folded pairwise.
-    The result is generally *not* strongly balanced — rebalance if needed.
+    Repeatedly replaces the most frequent adjacent node pair with a fresh
+    pair node until no digram occurs twice; the remaining sequence is
+    folded pairwise.  Ties go to the digram whose leftmost occurrence is
+    leftmost; a run of k equal symbols holds ⌊k/2⌋ left-aligned ``aa``
+    pairs and is rewritten greedily from the left.
+
+    Incremental in the style of Larsson and Moffat: the symbols live in
+    arrays over the original positions with prev/next links, each digram
+    keeps its count and its occurrence positions (appended in increasing
+    order, invalidated lazily), runs of equal symbols keep their length at
+    their ends, and a lazily invalidated max-heap orders the digrams by
+    (count descending, leftmost live occurrence ascending).  A replacement
+    touches only its two neighbouring digrams, so the whole build costs
+    O(|D| log |D|) instead of a full rescan per replaced pair.  The result
+    is generally *not* strongly balanced — rebalance if needed.
     """
     if not text:
         raise SLPError("SLPs derive non-empty documents")
-    sequence = [slp.terminal(ch) for ch in text]
-    while len(sequence) > 1:
-        counts: Counter[tuple[int, int]] = Counter()
-        index = 0
-        while index + 1 < len(sequence):
-            digram = (sequence[index], sequence[index + 1])
-            counts[digram] += 1
-            # skip one position on aa-runs so occurrences never overlap
-            if (
-                index + 2 < len(sequence)
-                and sequence[index + 1] == sequence[index]
-                and sequence[index + 2] == sequence[index]
-            ):
-                index += 2
-            else:
-                index += 1
-        if not counts:
-            break
-        digram, count = counts.most_common(1)[0]
-        if count < 2:
-            break
-        replacement = slp.pair(*digram)
-        rewritten: list[int] = []
-        index = 0
-        while index < len(sequence):
-            if (
-                index + 1 < len(sequence)
-                and (sequence[index], sequence[index + 1]) == digram
-            ):
-                rewritten.append(replacement)
-                index += 2
-            else:
-                rewritten.append(sequence[index])
-                index += 1
-        sequence = rewritten
+    sym = [slp.terminal(ch) for ch in text]
+    n = len(sym)
+    # a digram (x, y) is keyed x * width + y; every id this call can see
+    # or allocate is below width, so keys are unique and decode by divmod
+    width = slp.num_nodes() + n
+    # position n is the sentinel behind both ends: nxt of the last symbol
+    # is n, prv of the first is -1, and sym[n] == sym[-1] == -1 is dead
+    sym.append(-1)
+    nxt = list(range(1, n + 2))
+    prv = list(range(-1, n))
+    # a maximal run of equal symbols keeps its other end at both ends and
+    # its length at its start
+    other = [0] * (n + 1)
+    run_length = [0] * (n + 1)
+    count: defaultdict[int, int] = defaultdict(int)
+    occurrences: defaultdict[int, list[int]] = defaultdict(list)
+    start = 0
+    for index in range(1, n + 1):
+        if sym[index] != sym[start]:
+            other[start] = index - 1
+            other[index - 1] = start
+            run_length[start] = length = index - start
+            if length > 1:
+                count[sym[start] * (width + 1)] += length >> 1
+            start = index
+    for index in range(n - 1):
+        occurrences[sym[index] * width + sym[index + 1]].append(index)
+    heap = []
+    for key, positions in occurrences.items():
+        # runs counted their aa digrams; any other digram counts every
+        # adjacency, as its occurrences cannot overlap
+        live = count.setdefault(key, len(positions))
+        if live > 1:
+            heap.append((-live, positions[0], key))
+    heapq.heapify(heap)
+    # occurrences[key][head[key]:] holds every live occurrence of key;
+    # a position once invalid for a digram never becomes valid again
+    head: defaultdict[int, int] = defaultdict(int)
+
+    while heap:
+        negative, leftmost, key = heap[0]
+        live = count[key]
+        if live < 2:
+            heapq.heappop(heap)
+            continue
+        positions = occurrences[key]
+        first = head[key]
+        index = positions[first]
+        while sym[index] * width + sym[nxt[index]] != key:
+            first += 1
+            index = positions[first]
+        head[key] = first
+        if live != -negative or index != leftmost:
+            # priorities only fall, so a stale entry re-queues lower
+            heapq.heapreplace(heap, (-live, index, key))
+            continue
+        heapq.heappop(heap)
+        x, y = divmod(key, width)
+        z = slp.pair(x, y)
+        zz = z * (width + 1)
+        known = len(occurrences)
+        if x == y:
+            for index in positions[first:]:
+                if sym[index] != x or sym[nxt[index]] != x:
+                    continue
+                # index starts a maximal run of k >= 2 copies of x
+                k = run_length[index]
+                end = other[index]
+                p = prv[index]
+                u = sym[p]
+                if u >= 0:
+                    count[u * width + x] -= 1
+                    new = u * width + z
+                    occurrences[new].append(p)
+                    count[new] += 1
+                run = []
+                pos = index
+                for _ in range(k >> 1):
+                    j = nxt[pos]
+                    after = nxt[j]
+                    sym[pos] = z
+                    sym[j] = -1
+                    nxt[pos] = after
+                    prv[after] = pos
+                    run.append(pos)
+                    pos = after
+                last = run.pop()
+                other[index] = last
+                other[last] = index
+                run_length[index] = m = k >> 1
+                if m > 1:
+                    occurrences[zz].extend(run)
+                    count[zz] += m >> 1
+                if k & 1:
+                    # the odd copy stays behind at the old run end
+                    other[end] = end
+                    run_length[end] = 1
+                    v = x
+                else:
+                    v = sym[pos]
+                    if v < 0:
+                        continue
+                    count[x * width + v] -= 1
+                new = z * width + v
+                occurrences[new].append(last)
+                count[new] += 1
+        else:
+            xx = x * (width + 1)
+            yy = y * (width + 1)
+            for index in positions[first:]:
+                j = nxt[index]
+                if sym[index] != x or sym[j] != y:
+                    continue
+                p = prv[index]
+                q = nxt[j]
+                u = sym[p]
+                v = sym[q]
+                if u == x:  # the x-run ending here loses its last copy
+                    s = other[index]
+                    k = run_length[s]
+                    if not k & 1:
+                        count[xx] -= 1
+                    other[s] = p
+                    other[p] = s
+                    run_length[s] = k - 1
+                elif u >= 0:
+                    count[u * width + x] -= 1
+                if u == z:  # z-runs grow left to right as pairs merge
+                    s = other[p]
+                    run_length[s] = k = run_length[s] + 1
+                    other[s] = index
+                    other[index] = s
+                    occurrences[zz].append(p)
+                    if not k & 1:
+                        count[zz] += 1
+                else:
+                    other[index] = index
+                    run_length[index] = 1
+                    if u >= 0:
+                        new = u * width + z
+                        occurrences[new].append(p)
+                        count[new] += 1
+                if v >= 0:
+                    if v == y:  # the y-run starting here loses its first copy
+                        e = other[j]
+                        k = run_length[j]
+                        if not k & 1:
+                            count[yy] -= 1
+                        other[q] = e
+                        other[e] = q
+                        run_length[q] = k - 1
+                    else:
+                        count[y * width + v] -= 1
+                    new = z * width + v
+                    occurrences[new].append(index)
+                    count[new] += 1
+                nxt[index] = q
+                prv[q] = index
+                sym[index] = z
+                sym[j] = -1
+        # dicts keep insertion order: the digrams this round first saw
+        # (each holds z) are the last ones in occurrences
+        fresh = list(islice(reversed(occurrences), len(occurrences) - known))
+        count[key] = 0
+        del occurrences[key]
+        for new in fresh:
+            live = count[new]
+            if live > 1:
+                # a stale first position only ranks the entry too high
+                heapq.heappush(heap, (-live, occurrences[new][0], new))
+
+    sequence = []
+    index = 0
+    while index < n:
+        sequence.append(sym[index])
+        index = nxt[index]
     return _fold(slp, sequence)
 
 

@@ -15,6 +15,8 @@ from repro.slp import (
     repair_node,
     repeat_node,
 )
+from repro.util import log_document
+from tests.slp_oracles import quadratic_repair_node
 
 
 BUILDERS = [balanced_node, repair_node, lz78_node]
@@ -72,6 +74,65 @@ class TestCompression:
         text = "abcdefgh" * 4
         node = balanced_node(slp, text)
         assert slp.size(node) >= len(text) // 2
+
+
+def _assert_same_build(texts):
+    """Feed *texts* into one shared arena through both Re-Pair builders;
+    every root id and the whole arena must agree, node for node."""
+    fast, oracle = SLP(), SLP()
+    for text in texts:
+        root = repair_node(fast, text)
+        assert root == quadratic_repair_node(oracle, text)
+        assert fast.columns() == oracle.columns()
+        assert fast.derive(root) == text
+
+
+class TestRepairMatchesQuadraticOracle:
+    """The incremental Re-Pair reproduces the quadratic one exactly: same
+    tie-break on the leftmost occurrence, same ⌊k/2⌋ left-aligned pairs
+    on runs, same allocation order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["a", "ab", "abc", "aab", "ab "]).flatmap(
+            lambda alphabet: st.text(alphabet=alphabet, min_size=1, max_size=120)
+        )
+    )
+    def test_small_alphabets(self, text):
+        _assert_same_build([text])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from("abc"), st.integers(1, 40)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_long_single_letter_runs(self, runs):
+        _assert_same_build(["".join(ch * k for ch, k in runs)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.text(alphabet="ab ", min_size=1, max_size=60),
+            min_size=2,
+            max_size=6,
+        )
+    )
+    def test_into_an_arena_holding_other_documents(self, texts):
+        _assert_same_build(texts)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1, 20), st.integers(0, 10_000))
+    def test_log_documents(self, lines, seed):
+        _assert_same_build(
+            [log_document(lines, seed=seed), log_document(lines, seed=seed + 1)]
+        )
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 64, 65, 1000])
+    def test_single_letter_documents(self, length):
+        _assert_same_build(["a" * length])
 
 
 class TestRepeat:

@@ -61,6 +61,9 @@ SPEEDUP_FLOORS = {
     # fallback, per output tuple (measured ~12x; 1.8x before the int-bitset
     # descent with its continuation memo)
     "test_c3_warm_log_read_per_tuple": 5.0,
+    # incremental Re-Pair vs the quadratic rescanning oracle on a 43-line
+    # log, same grammar node for node (measured 12-18x)
+    "test_c10_repair_log_document_speedup": 3.0,
 }
 
 # ceilings for the observability-tax rows: the recorded
